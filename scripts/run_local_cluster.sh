@@ -52,6 +52,10 @@
 #                 peer bytes, shaper grants, mempool drops in -L mode) are
 #                 present and advancing, and saves each replica's /statusz
 #                 next to the logs (metrics_N.prom / statusz_N.json).
+#                 Without an adversary, every replica must also hold at
+#                 most RESIDENT_MAX epochs of protocol state mid-run
+#                 (delivered epochs retire once every peer has fetched
+#                 their chunks).
 #   -k            keep the work directory on success
 #
 # Port collisions: replicas exit 3 when they cannot bind; the script then
@@ -272,6 +276,13 @@ frontier_of() {
   awk '$1 == "dl_node_epoch_frontier" {print $2; found = 1} END {if (!found) print -1}' "$1"
 }
 
+# Epochs of protocol state a replica may hold when every peer is fetching:
+# the few still dispersing, agreeing, or awaiting a peer's last fetch.
+RESIDENT_MAX=16
+resident_of() {
+  awk '$1 == "dl_node_resident_epochs" {print $2; found = 1} END {if (!found) print -1}' "$1"
+}
+
 # Scrapes replica $1 and checks liveness + key series presence.
 scrape_replica() {
   local i="$1" port=$((admin_base + $1))
@@ -286,7 +297,8 @@ scrape_replica() {
   check_exposition "$WORK/metrics_$i.prom" || {
     echo "run_local_cluster: replica $i /metrics does not parse" >&2; return 1; }
   local series
-  for series in dl_node_epoch_frontier 'dl_peer_sent_bytes_total{peer="' \
+  for series in dl_node_epoch_frontier dl_node_resident_epochs \
+                dl_node_retained_chunk_bytes 'dl_peer_sent_bytes_total{peer="' \
                 dl_shaper_granted_bytes_total dl_loop_polls_total; do
     grep -qF "$series" "$WORK/metrics_$i.prom" || {
       echo "run_local_cluster: replica $i missing series $series" >&2
@@ -309,6 +321,15 @@ if [ "$ADMIN" -eq 1 ] && [ "$LOADGEN" -eq 0 ]; then
   sleep 0.5
   for ((i = 0; i < HONEST; i++)); do
     scrape_replica "$i" || fail=1
+    # A silent adversary pins every chunk, so the bound holds only without.
+    if [ -z "$ADVERSARY" ] && [ "$fail" -eq 0 ]; then
+      resident=$(resident_of "$WORK/metrics_$i.prom")
+      if [ "$resident" -lt 0 ] || [ "$resident" -gt "$RESIDENT_MAX" ]; then
+        echo "run_local_cluster: replica $i holds $resident resident epochs" \
+             "(bound $RESIDENT_MAX)" >&2
+        fail=1
+      fi
+    fi
   done
   late=$(frontier_of "$WORK/metrics_0.prom" 2>/dev/null || echo -1)
   if [ "$fail" -eq 0 ] && { [ "$early" -lt 0 ] || [ "$late" -le "$early" ]; }; then

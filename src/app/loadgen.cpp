@@ -135,6 +135,7 @@ struct Stream {
   double tx_per_sec = 1;
   std::uint64_t quota = 0;  // txs this stream still has to submit (count mode)
   std::uint64_t submitted = 0;
+  double next_due = 0;  // loop time of the next Poisson arrival
   int target_node = 0;
 };
 
@@ -239,29 +240,39 @@ int main(int argc, char** argv) {
       flags.count == 0 ? t0 + flags.duration : 1e18;
   std::vector<std::function<void()>> arrival(streams.size());
   for (std::size_t c = 0; c < streams.size(); ++c) {
+    // Arrivals follow an absolute schedule of due times. A timer fires late
+    // under load; each firing submits every arrival already due and times
+    // it from its due time, so the lateness neither lowers the offered rate
+    // nor hides from the latency.
     arrival[c] = [&, c] {
       Stream& s = streams[c];
-      if (flags.count != 0 && s.submitted >= s.quota) return;
-      if (loop.now() >= stop_at) return;
-      // Unique payload: counter header + deterministic filler, exactly the
-      // simulator generator's distinguishable-payload convention.
-      Bytes payload = random_bytes(flags.load.tx_bytes,
-                                   (static_cast<std::uint64_t>(c) << 40) ^ s.submitted);
-      for (int b = 0; b < 8; ++b) {
-        payload[static_cast<std::size_t>(b)] =
-            static_cast<std::uint8_t>(s.submitted >> (8 * b));
-        payload[static_cast<std::size_t>(8 + b)] =
-            static_cast<std::uint8_t>((s.cli->nonce()) >> (8 * b));
+      const double now = loop.now();
+      while (s.next_due <= now) {
+        if (flags.count != 0 && s.submitted >= s.quota) return;
+        if (s.next_due >= stop_at) return;
+        // Unique payload: counter header + deterministic filler, exactly the
+        // simulator generator's distinguishable-payload convention.
+        Bytes payload = random_bytes(
+            flags.load.tx_bytes,
+            (static_cast<std::uint64_t>(c) << 40) ^ s.submitted);
+        for (int b = 0; b < 8; ++b) {
+          payload[static_cast<std::size_t>(b)] =
+              static_cast<std::uint8_t>(s.submitted >> (8 * b));
+          payload[static_cast<std::size_t>(8 + b)] =
+              static_cast<std::uint8_t>((s.cli->nonce()) >> (8 * b));
+        }
+        const std::uint64_t seq = s.cli->submit(std::move(payload));
+        submit_times[(static_cast<std::uint64_t>(c) << 32) | seq] = s.next_due;
+        if (first_submit_at < 0) first_submit_at = s.next_due;
+        ++s.submitted;
+        ++total_submitted;
+        s.next_due += s.rng.next_exponential(s.tx_per_sec);
       }
-      const std::uint64_t seq = s.cli->submit(std::move(payload));
-      submit_times[(static_cast<std::uint64_t>(c) << 32) | seq] = loop.now();
-      if (first_submit_at < 0) first_submit_at = loop.now();
-      ++s.submitted;
-      ++total_submitted;
-      loop.after(s.rng.next_exponential(s.tx_per_sec), arrival[c]);
+      loop.after(s.next_due - now, arrival[c]);
     };
-    loop.after(streams[c].rng.next_exponential(streams[c].tx_per_sec),
-               arrival[c]);
+    Stream& s = streams[c];
+    s.next_due = t0 + s.rng.next_exponential(s.tx_per_sec);
+    loop.after(s.next_due - t0, arrival[c]);
   }
 
   // Completion polling + watchdog.

@@ -10,12 +10,22 @@ DLEpoch::DLEpoch(std::uint64_t epoch, int n, int f, int self,
   bas_.reserve(static_cast<std::size_t>(n));
   const vid::Params p{n, f};
   for (int i = 0; i < n; ++i) {
-    vids_.emplace_back(p, self);
+    vids_.emplace_back(p, self, /*proposer=*/i);
     const auto inst = static_cast<std::uint32_t>(i);
     bas_.emplace_back(n, f, self, [&coin, epoch, inst](std::uint32_t round) {
       return coin.flip(epoch, inst, round);
     });
   }
+}
+
+bool DLEpoch::drained() const {
+  for (const auto& ba : bas_) {
+    if (!ba.halted()) return false;
+  }
+  for (const auto& v : vids_) {
+    if (!v.released()) return false;
+  }
+  return true;
 }
 
 bool DLEpoch::refresh_ba_outputs() {

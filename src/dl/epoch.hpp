@@ -49,6 +49,10 @@ class DLEpoch {
   // Commit set S_e: indices whose BA output 1 (valid once all_ba_output()).
   const std::vector<int>& commit_set() const { return commit_set_; }
 
+  // Every BA has halted and every VID server has released its chunk: no
+  // message for this epoch can make the node send anything again.
+  bool drained() const;
+
   // --- delivery bookkeeping (driven by DlNode) -------------------------
   bool linked_computed = false;
   // Blocks from earlier epochs this epoch delivers via inter-node linking,

@@ -67,16 +67,36 @@ DlNode::DlNode(NodeConfig cfg, runtime::Env& env)
       coin_(cfg.coin_seed),
       vid_params_{cfg.n, cfg.f},
       retrievals_(vid_params_, cfg.self),
-      completed_prefix_(static_cast<std::size_t>(cfg.n), 0),
-      completed_gaps_(static_cast<std::size_t>(cfg.n)),
+      completed_(cfg.n),
+      delivered_(cfg.n),
       linked_scanned_(static_cast<std::size_t>(cfg.n), 0) {}
 
 DLEpoch& DlNode::epoch_state(std::uint64_t e) {
   auto it = epochs_.find(e);
   if (it == epochs_.end()) {
     it = epochs_.try_emplace(e, e, cfg_.n, cfg_.f, cfg_.self, coin_).first;
+    stats_.resident_epochs = epochs_.size();
   }
   return it->second;
+}
+
+void DlNode::maybe_retire(std::uint64_t e) {
+  // Delivered, every BA halted, every chunk fetched by all who may ask: a
+  // halted BA and a released server ignore every message, so dropping the
+  // state (and, in on_receive, the messages) changes no output.
+  if (e >= deliver_next_) return;
+  auto it = epochs_.find(e);
+  if (it == epochs_.end() || !it->second.drained()) return;
+  erase_epoch(it);
+  retired_.insert(e);
+}
+
+void DlNode::erase_epoch(std::map<std::uint64_t, DLEpoch>::iterator it) {
+  for (int i = 0; i < cfg_.n; ++i) {
+    stats_.retained_chunk_bytes -= it->second.vid(i).retained_bytes();
+  }
+  epochs_.erase(it);
+  stats_.resident_epochs = epochs_.size();
 }
 
 // --- client interface -------------------------------------------------------
@@ -170,10 +190,11 @@ bool DlNode::can_start_next_epoch() const {
   }
   if (propose_epoch_ == 0) return true;
   const std::uint64_t prev = propose_epoch_ - 1;
-  if (prev < closed_floor_) {
+  if (prev < closed_floor_ || retired_.contains(prev)) {
     // Epochs below the restore/catch-up floor were agreement-closed by the
-    // cluster while we were down; our local DLEpoch state for them is gone
-    // and all_ba_output() would stay false forever.
+    // cluster while we were down, and retired epochs closed before they
+    // were freed; either way the DLEpoch state is gone and all_ba_output()
+    // would stay false forever.
     return true;
   }
   if (cfg_.vote_on_dispersal) {
@@ -219,7 +240,11 @@ void DlNode::maybe_propose() {
 Block DlNode::build_block() {
   Block b;
   if (cfg_.inter_node_linking) {
-    b.v_array = completed_prefix_;  // the observation V_i^e (§4.3)
+    // The observation V_i^e (§4.3).
+    b.v_array.resize(static_cast<std::size_t>(cfg_.n));
+    for (int j = 0; j < cfg_.n; ++j) {
+      b.v_array[static_cast<std::size_t>(j)] = completed_.prefix(j);
+    }
   }
   // Proposing epoch e = propose_epoch_ - 1 (already advanced by the caller).
   // Retrieval inherently trails dispersal by one epoch (epoch e-1's blocks
@@ -353,6 +378,10 @@ void DlNode::on_receive(int from, ByteView bytes) {
              env.kind == MsgKind::CatchUpDone) {
     ++stats_.catch_up_msgs_received;
   }
+  if ((is_vid_kind(env.kind) || is_ba_kind(env.kind)) &&
+      retired_.contains(env.epoch)) {
+    return;  // counted above; the drained state would have ignored it
+  }
 
   if (env.kind == MsgKind::VidReturnChunk) {
     handle_return_chunk(from, env);
@@ -378,11 +407,15 @@ void DlNode::handle_vid_message(int from, const Envelope& env) {
   if (env.kind == MsgKind::VidChunk && from != static_cast<int>(env.instance)) {
     return;
   }
-  DLEpoch& st = epoch_state(env.epoch);
+  vid::AvidMServer& server =
+      epoch_state(env.epoch).vid(static_cast<int>(env.instance));
+  stats_.retained_chunk_bytes -= server.retained_bytes();
   Outbox out;
-  st.vid(static_cast<int>(env.instance)).handle(from, env.kind, env.body, out);
+  server.handle(from, env.kind, env.body, out);
+  stats_.retained_chunk_bytes += server.retained_bytes();
   flush(std::move(out), env.epoch, env.instance);
   after_vid_activity(env.epoch, static_cast<int>(env.instance));
+  maybe_retire(env.epoch);
 }
 
 void DlNode::handle_ba_message(int from, const Envelope& env) {
@@ -391,6 +424,7 @@ void DlNode::handle_ba_message(int from, const Envelope& env) {
   st.ba(static_cast<int>(env.instance)).handle(from, env.kind, env.body, out);
   flush(std::move(out), env.epoch, env.instance);
   after_ba_activity(env.epoch);
+  maybe_retire(env.epoch);
 }
 
 void DlNode::handle_return_chunk(int from, const Envelope& env) {
@@ -449,17 +483,7 @@ void DlNode::note_vid_complete(std::uint64_t e, int instance) {
     }
   }
   // Track the V array: V[j] = number of leading epochs of j all complete.
-  auto& prefix = completed_prefix_[static_cast<std::size_t>(instance)];
-  auto& gaps = completed_gaps_[static_cast<std::size_t>(instance)];
-  if (e == prefix) {
-    ++prefix;
-    while (!gaps.empty() && *gaps.begin() == prefix) {
-      gaps.erase(gaps.begin());
-      ++prefix;
-    }
-  } else if (e > prefix) {
-    gaps.insert(e);
-  }
+  completed_.insert(BlockKey{e, instance});
 
   if (!cfg_.vote_on_dispersal) {
     // HoneyBadger RBC: download the block as part of "broadcast", then vote.
@@ -475,6 +499,7 @@ void DlNode::maybe_vote(std::uint64_t e, int instance) {
     // without us (crash faults stay crash faults).
     return;
   }
+  if (retired_.contains(e)) return;  // every BA there has halted
   DLEpoch& st = epoch_state(e);
   ba::BinaryAgreement& ba = st.ba(instance);
   if (ba.has_input()) return;
@@ -670,6 +695,7 @@ void DlNode::try_deliver() {
     ++deliver_next_;
     if (store_ != nullptr) store_->append_epoch_done(e);
     delivered_any = true;
+    maybe_retire(e);
   }
   if (delivered_any) {
     request_store_drain();
@@ -764,9 +790,7 @@ void DlNode::recover_from_store() {
   // proposer. Under-setting is safe (the delivered_ check skips re-seen
   // keys), so holes simply leave the frontier lower.
   for (int j = 0; j < cfg_.n; ++j) {
-    std::uint64_t d = 0;
-    while (delivered_.contains(BlockKey{d, j})) ++d;
-    linked_scanned_[static_cast<std::size_t>(j)] = d;
+    linked_scanned_[static_cast<std::size_t>(j)] = delivered_.prefix(j);
   }
 }
 
@@ -1031,7 +1055,8 @@ void DlNode::try_install_catch_up() {
     ++stats_.delivered_epochs;
     ++stats_.caught_up_epochs;
     ++deliver_next_;
-    epochs_.erase(at);  // any local BA state for it can never matter again
+    // Any local BA state for it can never matter again.
+    if (auto st = epochs_.find(at); st != epochs_.end()) erase_epoch(st);
     round_.epochs.erase(it);
     installed = true;
   }

@@ -26,6 +26,7 @@
 #include <set>
 
 #include "ba/common_coin.hpp"
+#include "common/prefix_set.hpp"
 #include "dl/block.hpp"
 #include "dl/catchup.hpp"
 #include "dl/epoch.hpp"
@@ -118,6 +119,11 @@ struct NodeStats {
   std::uint64_t ba_msgs_received = 0;
   std::uint64_t ba_decisions = 0;         // BA instances decided locally
   std::uint64_t catch_up_msgs_received = 0;
+  // Memory: DLEpoch states still held, and the chunk bytes this node's
+  // AVID-M servers keep for peers that have not fetched them. Both stay
+  // flat while every peer retrieves; a silent peer pins chunks.
+  std::uint64_t resident_epochs = 0;
+  std::uint64_t retained_chunk_bytes = 0;
 };
 
 // Pipeline checkpoints of one own-proposal, in home-loop seconds (0 = not
@@ -195,6 +201,10 @@ class DlNode : public runtime::Receiver {
 
  private:
   DLEpoch& epoch_state(std::uint64_t e);
+  // Frees a delivered epoch once drained(); later VID/BA messages for it
+  // are dropped.
+  void maybe_retire(std::uint64_t e);
+  void erase_epoch(std::map<std::uint64_t, DLEpoch>::iterator it);
 
   // Message plumbing: assign envelope ids, map kinds to traffic classes.
   void flush(Outbox&& out, std::uint64_t epoch, std::uint32_t instance);
@@ -246,6 +256,7 @@ class DlNode : public runtime::Receiver {
   vid::Params vid_params_;
 
   std::map<std::uint64_t, DLEpoch> epochs_;
+  PrefixSet retired_;  // epochs freed by maybe_retire()
   RetrievalManager retrievals_;
 
   // Input queue. The byte gauge is atomic only so off-loop gateway shards
@@ -260,13 +271,12 @@ class DlNode : public runtime::Receiver {
   std::map<std::uint64_t, Block> own_blocks_;  // until delivered
   std::map<std::uint64_t, OwnBlockStages> own_stages_;  // until delivered
 
-  // VID completion tracking for the V array (§4.3).
-  std::vector<std::uint64_t> completed_prefix_;        // V[j]
-  std::vector<std::set<std::uint64_t>> completed_gaps_;  // out-of-order epochs
+  // VID completion tracking for the V array (§4.3): V[j] = prefix(j).
+  BlockKeySet completed_;
 
   // Delivery state.
   std::uint64_t deliver_next_ = 0;
-  std::set<BlockKey> delivered_;
+  BlockKeySet delivered_;
   std::set<BlockKey> linked_pending_;           // queued by linking
   std::vector<std::uint64_t> linked_scanned_;   // per-proposer scan frontier
 

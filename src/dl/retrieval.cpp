@@ -3,8 +3,7 @@
 namespace dl::core {
 
 void RetrievalManager::put_local(BlockKey key, Bytes content) {
-  if (done_keys_.contains(key)) return;
-  done_keys_.insert(key);
+  if (!done_keys_.insert(key)) return;
   content_.emplace(key, std::move(content));
 }
 

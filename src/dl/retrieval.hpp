@@ -12,8 +12,10 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <vector>
 
 #include "common/envelope.hpp"
+#include "common/prefix_set.hpp"
 #include "vid/avid_m.hpp"
 
 namespace dl::core {
@@ -24,9 +26,39 @@ struct BlockKey {
   auto operator<=>(const BlockKey&) const = default;
 };
 
+// A set of blocks kept as one PrefixSet per proposer. A proposer's blocks
+// complete (and are delivered) in roughly epoch order, so a block costs
+// memory only while a hole below it is open. Keys naming a proposer outside
+// [0, n) are never members.
+class BlockKeySet {
+ public:
+  explicit BlockKeySet(int n) : per_proposer_(static_cast<std::size_t>(n)) {}
+
+  bool contains(BlockKey k) const {
+    return valid(k) &&
+           per_proposer_[static_cast<std::size_t>(k.proposer)].contains(k.epoch);
+  }
+  bool insert(BlockKey k) {
+    return valid(k) &&
+           per_proposer_[static_cast<std::size_t>(k.proposer)].insert(k.epoch);
+  }
+  // Every epoch below this watermark holds a member for `proposer`.
+  std::uint64_t prefix(int proposer) const {
+    return per_proposer_[static_cast<std::size_t>(proposer)].prefix();
+  }
+
+ private:
+  bool valid(BlockKey k) const {
+    return k.proposer >= 0 &&
+           static_cast<std::size_t>(k.proposer) < per_proposer_.size();
+  }
+  std::vector<PrefixSet> per_proposer_;
+};
+
 class RetrievalManager {
  public:
-  explicit RetrievalManager(vid::Params p, int self) : p_(p), self_(self) {}
+  explicit RetrievalManager(vid::Params p, int self)
+      : p_(p), self_(self), done_keys_(p.n) {}
 
   // Stores locally-known content (our own proposal).
   void put_local(BlockKey key, Bytes content);
@@ -70,7 +102,7 @@ class RetrievalManager {
   std::map<BlockKey, vid::AvidMRetriever> active_;
   std::map<BlockKey, Bytes> content_;
   std::set<BlockKey> bad_;
-  std::set<BlockKey> done_keys_;  // everything ever completed or local
+  BlockKeySet done_keys_;  // everything ever completed or local
   std::uint64_t completed_ = 0;
 };
 

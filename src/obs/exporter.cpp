@@ -80,6 +80,11 @@ NodeExporter::NodeExporter(Registry& reg, ExporterSources src) : src_(src) {
     g_input_queue_bytes_ = reg.gauge(
         "dl_node_input_queue_bytes",
         "submitted-but-not-proposed transaction backlog (wire bytes)");
+    g_resident_epochs_ = reg.gauge("dl_node_resident_epochs",
+                                   "epochs whose protocol state is still held");
+    g_retained_chunk_bytes_ = reg.gauge(
+        "dl_node_retained_chunk_bytes",
+        "VID chunk bytes held for peers that have not fetched them");
   }
 
   if (src_.env != nullptr && src_.node != nullptr) {
@@ -209,6 +214,9 @@ void NodeExporter::refresh() {
     c_catch_up_msgs_->set(s.catch_up_msgs_received);
     g_input_queue_bytes_->set(
         static_cast<std::int64_t>(src_.node->input_queue_bytes()));
+    g_resident_epochs_->set(static_cast<std::int64_t>(s.resident_epochs));
+    g_retained_chunk_bytes_->set(
+        static_cast<std::int64_t>(s.retained_chunk_bytes));
   }
 
   if (src_.env != nullptr && !peers_.empty()) {

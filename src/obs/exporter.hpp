@@ -96,6 +96,8 @@ class NodeExporter {
   Counter* c_catch_up_rounds_ = nullptr;
   Counter* c_catch_up_msgs_ = nullptr;
   Gauge* g_input_queue_bytes_ = nullptr;
+  Gauge* g_resident_epochs_ = nullptr;
+  Gauge* g_retained_chunk_bytes_ = nullptr;
 
   // transport (per peer + shaper totals)
   struct PeerSeries {

@@ -41,9 +41,11 @@ std::vector<ChunkMsg> avid_m_disperse(const Params& p, ByteView block) {
   return out;
 }
 
-AvidMServer::AvidMServer(Params p, int self)
+AvidMServer::AvidMServer(Params p, int self, int proposer)
     : p_(p),
       self_(self),
+      proposer_(proposer),
+      requests_needed_(proposer >= 0 && proposer < p.n ? p.n - 1 : p.n),
       got_chunk_seen_(static_cast<std::size_t>(p.n), false),
       ready_seen_(static_cast<std::size_t>(p.n), false),
       request_seen_(static_cast<std::size_t>(p.n), false) {
@@ -53,7 +55,7 @@ AvidMServer::AvidMServer(Params p, int self)
 }
 
 void AvidMServer::handle_chunk(const ChunkMsg& m, Outbox& out) {
-  if (my_chunk_.has_value()) return;  // first valid Chunk wins
+  if (released_ || my_chunk_.has_value()) return;  // first valid Chunk wins
   if (m.proof.index != static_cast<std::uint32_t>(self_) ||
       m.proof.leaf_count != static_cast<std::uint32_t>(p_.n)) {
     return;
@@ -71,17 +73,24 @@ void AvidMServer::handle_chunk(const ChunkMsg& m, Outbox& out) {
     deferred_requests_.clear();
     for (int requester : pending) serve(requester, out);
   }
+  maybe_release();
 }
 
 void AvidMServer::handle_got_chunk(int from, const RootMsg& m, Outbox& out) {
-  if (from < 0 || from >= p_.n || got_chunk_seen_[static_cast<std::size_t>(from)]) return;
+  if (released_ || from < 0 || from >= p_.n ||
+      got_chunk_seen_[static_cast<std::size_t>(from)]) {
+    return;
+  }
   got_chunk_seen_[static_cast<std::size_t>(from)] = true;
   const int count = ++share_count_[m.root];
   if (count >= p_.n - p_.f) maybe_send_ready(m.root, out);
 }
 
 void AvidMServer::handle_ready(int from, const RootMsg& m, Outbox& out) {
-  if (from < 0 || from >= p_.n || ready_seen_[static_cast<std::size_t>(from)]) return;
+  if (released_ || from < 0 || from >= p_.n ||
+      ready_seen_[static_cast<std::size_t>(from)]) {
+    return;
+  }
   ready_seen_[static_cast<std::size_t>(from)] = true;
   const int count = ++ready_count_[m.root];
   if (count >= p_.f + 1) maybe_send_ready(m.root, out);
@@ -92,6 +101,7 @@ void AvidMServer::handle_ready(int from, const RootMsg& m, Outbox& out) {
     auto pending = std::move(deferred_requests_);
     deferred_requests_.clear();
     for (int requester : pending) serve(requester, out);
+    maybe_release();
   }
 }
 
@@ -102,9 +112,28 @@ void AvidMServer::maybe_send_ready(const Hash& r, Outbox& out) {
 }
 
 void AvidMServer::handle_request_chunk(int from, Outbox& out) {
-  if (from < 0 || from >= p_.n || request_seen_[static_cast<std::size_t>(from)]) return;
+  if (released_ || from < 0 || from >= p_.n ||
+      request_seen_[static_cast<std::size_t>(from)]) {
+    return;
+  }
   request_seen_[static_cast<std::size_t>(from)] = true;
+  if (from != proposer_) ++requests_counted_;
   serve(from, out);
+  maybe_release();
+}
+
+void AvidMServer::maybe_release() {
+  if (released_ || !complete_ || !my_chunk_.has_value() ||
+      requests_counted_ < requests_needed_) {
+    return;
+  }
+  released_ = true;
+  my_chunk_.reset();
+  // Dispersal bookkeeping is dead too: complete_ and sent_ready_ already
+  // hold, so no GotChunk/Ready could make this server send anything.
+  share_count_.clear();
+  ready_count_.clear();
+  deferred_requests_.clear();
 }
 
 void AvidMServer::serve(int requester, Outbox& out) {

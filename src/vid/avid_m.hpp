@@ -10,7 +10,9 @@
 //   AvidMServer        — server side (Fig. 3) plus the Retrieve handler
 //                        (Fig. 4 bottom): counts GotChunk/Ready, Completes,
 //                        stores its chunk, and serves ReturnChunk (deferring
-//                        while incomplete, as the paper requires).
+//                        while incomplete, as the paper requires). Once
+//                        every node that may fetch the chunk has asked, it
+//                        releases the chunk and turns inert.
 //   AvidMRetriever     — client side of Retrieve (Fig. 4 top): collects
 //                        ReturnChunks, decodes from any N−2f chunks with the
 //                        same root, then RE-ENCODES and checks the root —
@@ -45,7 +47,10 @@ std::vector<ChunkMsg> avid_m_disperse(const Params& p, ByteView block);
 
 class AvidMServer {
  public:
-  AvidMServer(Params p, int self);
+  // `proposer` is the instance's disperser. It holds the block itself and
+  // never fetches it, so the chunk is released once every OTHER node has
+  // requested it. -1 (no known proposer) waits for all N requests.
+  AvidMServer(Params p, int self, int proposer = -1);
 
   // Dispersal handlers (Fig. 3). `out` receives broadcasts/sends whose
   // envelope the caller completes with epoch/instance ids.
@@ -66,12 +71,27 @@ class AvidMServer {
   const Hash& chunk_root() const { return chunk_root_; }
   bool has_chunk() const { return my_chunk_.has_value(); }
 
+  // Release: the server is complete, holds a chunk, and has answered every
+  // node that may fetch it (a chunk under a root other than the agreed one
+  // is never served, so its requests count as answered too). request_seen_
+  // dedups requests, so no later serve is possible; the chunk is dropped
+  // and every handler becomes a no-op. A late request from the proposer
+  // goes unanswered.
+  bool released() const { return released_; }
+  // Chunk bytes held for peers that have not fetched them yet.
+  std::size_t retained_bytes() const {
+    return my_chunk_.has_value() ? my_chunk_->chunk.size() : 0;
+  }
+
  private:
   void maybe_send_ready(const Hash& r, Outbox& out);
   void serve(int requester, Outbox& out);
+  void maybe_release();
 
   Params p_;
   int self_;
+  int proposer_;
+  int requests_needed_;  // distinct requesters before release
 
   std::optional<ChunkMsg> my_chunk_;  // MyChunk/MyProof/MyRoot
   std::map<Hash, int> share_count_;   // ShareCount[r]
@@ -84,6 +104,8 @@ class AvidMServer {
   Hash chunk_root_;
   std::vector<int> deferred_requests_;
   std::vector<bool> request_seen_;
+  int requests_counted_ = 0;  // distinct requesters other than the proposer
+  bool released_ = false;
 };
 
 // A decode attempt detached from retriever state: every input is owned by

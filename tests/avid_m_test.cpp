@@ -276,6 +276,125 @@ TEST(AvidM, RequestBeforeCompleteIsDeferred) {
   EXPECT_EQ(c.retrievers[3].result(), block);
 }
 
+// --- chunk release ------------------------------------------------------
+
+// Server 1 of an n=4 instance dispersed by node 0, holding its chunk of
+// `block` and complete on that block's root.
+struct ReleaseFixture {
+  Params p{4, 1};
+  std::vector<ChunkMsg> chunks = avid_m_disperse(p, random_bytes(3000, 7));
+  AvidMServer server{p, /*self=*/1, /*proposer=*/0};
+
+  ReleaseFixture() {
+    Outbox out;
+    server.handle_chunk(chunks[1], out);
+    complete_on(chunks[0].root);
+  }
+  void complete_on(const Hash& root) {
+    Outbox out;
+    for (int from : {0, 2, 3}) server.handle_ready(from, RootMsg{root}, out);
+  }
+  Outbox request(int from) {
+    Outbox out;
+    server.handle_request_chunk(from, out);
+    return out;
+  }
+};
+
+TEST(AvidMRelease, ReleasesOnlyAfterEveryNonProposerRequested) {
+  ReleaseFixture fx;
+  ASSERT_TRUE(fx.server.complete());
+  const std::size_t held = fx.chunks[1].chunk.size();
+  EXPECT_EQ(fx.server.retained_bytes(), held);
+  for (int from : {1, 2}) {
+    EXPECT_EQ(fx.request(from).size(), 1u);
+    EXPECT_FALSE(fx.server.released()) << "after request from " << from;
+    EXPECT_EQ(fx.server.retained_bytes(), held);
+  }
+  EXPECT_EQ(fx.request(3).size(), 1u);
+  EXPECT_TRUE(fx.server.released());
+  EXPECT_FALSE(fx.server.has_chunk());
+  EXPECT_EQ(fx.server.retained_bytes(), 0u);
+}
+
+TEST(AvidMRelease, LastRequesterStillGetsAValidChunk) {
+  ReleaseFixture fx;
+  fx.request(1);
+  fx.request(2);
+  const Outbox out = fx.request(3);  // the request that triggers release
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].to, 3);
+  EXPECT_EQ(out[0].env.kind, MsgKind::VidReturnChunk);
+  ReturnChunkMsg m;
+  ASSERT_TRUE(ReturnChunkMsg::decode(out[0].env.body, m));
+  EXPECT_EQ(m.root, fx.chunks[0].root);
+  EXPECT_EQ(m.chunk, fx.chunks[1].chunk);
+  EXPECT_TRUE(merkle_verify(m.root, m.chunk, m.proof));
+  EXPECT_TRUE(fx.server.released());
+}
+
+TEST(AvidMRelease, ReleasedServerSendsNothing) {
+  ReleaseFixture fx;
+  for (int from : {1, 2, 3}) fx.request(from);
+  ASSERT_TRUE(fx.server.released());
+  // The proposer never fetches its own block; after release even it gets
+  // no reply (and no reply with an empty chunk).
+  EXPECT_TRUE(fx.request(0).empty());
+  for (int from : {1, 2, 3}) EXPECT_TRUE(fx.request(from).empty());
+  // Dispersal traffic is inert too: a re-sent chunk is not stored again.
+  Outbox out;
+  fx.server.handle_chunk(fx.chunks[1], out);
+  fx.server.handle_got_chunk(0, RootMsg{fx.chunks[0].root}, out);
+  fx.server.handle_ready(1, RootMsg{fx.chunks[0].root}, out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(fx.server.has_chunk());
+  EXPECT_EQ(fx.server.retained_bytes(), 0u);
+}
+
+TEST(AvidMRelease, ServerOnAnotherRootAlsoReleases) {
+  // The instance completed on a root other than this server's chunk (an
+  // equivocating disperser): the chunk can never be served, so once every
+  // non-proposer has asked it is dropped all the same.
+  const Params p{4, 1};
+  const auto mine = avid_m_disperse(p, random_bytes(1000, 8));
+  const auto agreed = avid_m_disperse(p, random_bytes(1000, 9));
+  AvidMServer server(p, /*self=*/1, /*proposer=*/0);
+  Outbox out;
+  server.handle_chunk(mine[1], out);
+  out.clear();
+  for (int from : {0, 2, 3}) server.handle_ready(from, RootMsg{agreed[0].root}, out);
+  ASSERT_TRUE(server.complete());
+  ASSERT_NE(server.chunk_root(), mine[1].root);
+  out.clear();
+  for (int from : {1, 2}) {
+    server.handle_request_chunk(from, out);
+    EXPECT_FALSE(server.released());
+  }
+  server.handle_request_chunk(3, out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(server.released());
+  EXPECT_EQ(server.retained_bytes(), 0u);
+}
+
+TEST(AvidMRelease, RequestsBeforeTheChunkArrivesCountOnceServed) {
+  // Requests parked while the server lacks its chunk are answered when the
+  // chunk lands, and only then is the chunk released.
+  ReleaseFixture fx;
+  AvidMServer late(fx.p, /*self=*/1, /*proposer=*/0);
+  Outbox out;
+  for (int from : {0, 2, 3}) late.handle_ready(from, RootMsg{fx.chunks[0].root}, out);
+  ASSERT_TRUE(late.complete());
+  out.clear();  // our own Ready
+  for (int from : {1, 2, 3}) late.handle_request_chunk(from, out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(late.released());
+  late.handle_chunk(fx.chunks[1], out);
+  int served = 0;
+  for (const OutMsg& m : out) served += m.env.kind == MsgKind::VidReturnChunk;
+  EXPECT_EQ(served, 3);
+  EXPECT_TRUE(late.released());
+}
+
 TEST(AvidM, DisperseChunkCount) {
   const Params p{16, 5};
   const auto msgs = avid_m_disperse(p, random_bytes(10000, 6));

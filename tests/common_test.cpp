@@ -1,13 +1,43 @@
-// Unit tests for the common substrate: bytes, hex, rng, serialization.
+// Unit tests for the common substrate: bytes, hex, rng, serialization, and
+// the PrefixSet watermark set.
 #include <gtest/gtest.h>
 
 #include "common/bytes.hpp"
 #include "common/hex.hpp"
+#include "common/prefix_set.hpp"
 #include "common/rng.hpp"
 #include "common/serial.hpp"
 
 namespace dl {
 namespace {
+
+TEST(PrefixSet, InOrderInsertsAdvanceTheWatermark) {
+  PrefixSet s;
+  for (std::uint64_t i = 0; i < 1000; ++i) EXPECT_TRUE(s.insert(i));
+  EXPECT_EQ(s.prefix(), 1000u);
+  EXPECT_TRUE(s.contains(0));
+  EXPECT_TRUE(s.contains(999));
+  EXPECT_FALSE(s.contains(1000));
+  EXPECT_FALSE(s.insert(500));  // already a member
+}
+
+TEST(PrefixSet, FillingAHoleAbsorbsTheMembersAboveIt) {
+  PrefixSet s;
+  EXPECT_TRUE(s.insert(2));
+  EXPECT_TRUE(s.insert(3));
+  EXPECT_TRUE(s.insert(5));
+  EXPECT_FALSE(s.insert(3));
+  EXPECT_EQ(s.prefix(), 0u);
+  EXPECT_FALSE(s.contains(0));
+  EXPECT_TRUE(s.contains(5));
+  EXPECT_TRUE(s.insert(0));
+  EXPECT_EQ(s.prefix(), 1u);
+  EXPECT_TRUE(s.insert(1));  // reaches 2 and 3; 4 is still a hole
+  EXPECT_EQ(s.prefix(), 4u);
+  EXPECT_FALSE(s.contains(4));
+  EXPECT_TRUE(s.insert(4));
+  EXPECT_EQ(s.prefix(), 6u);
+}
 
 TEST(Bytes, StringRoundTrip) {
   const Bytes b = bytes_of("hello");

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 
@@ -119,6 +120,9 @@ TEST_P(ProtocolP, AgreementTotalOrderUnderLoad) {
   for (int i = 0; i < n; ++i) {
     EXPECT_GT(c.logs[static_cast<std::size_t>(i)].size(), 10u) << param.name;
     EXPECT_GT(c.nodes[static_cast<std::size_t>(i)]->stats().delivered_payload_bytes, 0u);
+    // Every peer fetched every block, so delivered epochs were retired.
+    EXPECT_LE(c.nodes[static_cast<std::size_t>(i)]->stats().resident_epochs, 16u)
+        << param.name;
   }
   c.expect_all_logs_consistent();
 }
@@ -445,6 +449,92 @@ TEST(DlNode, AbsurdEpochMessageBounded) {
   });
   c.sim.run_until(5.0);
   for (auto* node : c.nodes) EXPECT_GT(node->stats().delivered_epochs, 0u);
+}
+
+// --- bounded memory: chunk release and epoch retirement ---------------------
+
+NodeConfig fast_epochs(int n, int f, int i) {
+  NodeConfig c = NodeConfig::dispersed_ledger(n, f, i);
+  c.propose_delay = 0.002;
+  c.backlog_tx_bytes = 100;
+  c.max_block_bytes = 2'000;
+  return c;
+}
+
+// Largest resident-epoch count and retained chunk bytes any node reported,
+// sampled every `period` virtual seconds until `until`.
+struct MemoryPeaks {
+  std::uint64_t epochs = 0;
+  std::uint64_t chunk_bytes = 0;
+};
+
+void sample_peaks(Cluster& c, MemoryPeaks& peaks, double period, double until) {
+  for (double t = period; t < until; t += period) {
+    c.sim.queue().at(t, [&c, &peaks] {
+      for (DlNode* node : c.nodes) {
+        if (node == nullptr) continue;
+        peaks.epochs = std::max(peaks.epochs, node->stats().resident_epochs);
+        peaks.chunk_bytes =
+            std::max(peaks.chunk_bytes, node->stats().retained_chunk_bytes);
+      }
+    });
+  }
+}
+
+TEST(DlNodeMemory, LongRunKeepsResidentEpochsAndChunksFlat) {
+  // Every peer fetches every block, so each AVID-M server releases its
+  // chunk and each delivered epoch retires. Over thousands of epochs the
+  // resident state must stay under a small constant, and freeing it must
+  // not change what is delivered.
+  const int n = 4, f = 1;
+  const std::uint64_t kEpochs = 5'000;
+  const double kRunFor = 60.0;
+  Cluster c(sim::NetworkConfig::uniform(n, 0.001, 20e6));
+  std::vector<Hash> fp_at(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    DlNode* node = c.add_node(fast_epochs(n, f, i));
+    Hash* fp = &fp_at[static_cast<std::size_t>(i)];
+    node->set_delivery_callback(
+        [node, fp, kEpochs](std::uint64_t at, BlockKey, const Block&, double) {
+          if (at < kEpochs) *fp = node->delivery_fingerprint();
+        });
+  }
+  MemoryPeaks peaks;
+  sample_peaks(c, peaks, 0.25, kRunFor);
+  c.sim.run_until(kRunFor);
+
+  for (int i = 0; i < n; ++i) {
+    const NodeStats& s = c.nodes[static_cast<std::size_t>(i)]->stats();
+    ASSERT_GE(s.delivered_epochs, kEpochs) << "node " << i;
+    EXPECT_EQ(fp_at[static_cast<std::size_t>(i)], fp_at[0]) << "node " << i;
+  }
+  // A few epochs are in flight at any time (dispersing, agreeing, or
+  // waiting for the last peer's fetch); none accumulate.
+  EXPECT_LE(peaks.epochs, 16u);
+  EXPECT_LE(peaks.chunk_bytes, 32u * 1024);
+}
+
+TEST(DlNodeMemory, CrashedPeerPinsChunksButProgressHolds) {
+  // The documented limit: a crashed peer never fetches, so no server can
+  // release and no epoch retires. Agreement and progress are unaffected.
+  const int n = 4, f = 1;
+  Cluster c(sim::NetworkConfig::uniform(n, 0.001, 20e6));
+  for (int i = 0; i < n - 1; ++i) c.add_node(fast_epochs(n, f, i));
+  c.add_crashed(n - 1);
+  c.sim.run_until(2.0);
+  std::vector<std::uint64_t> mid;
+  for (int i = 0; i < n - 1; ++i) {
+    mid.push_back(c.nodes[static_cast<std::size_t>(i)]->stats().retained_chunk_bytes);
+  }
+  c.sim.run_until(4.0);
+  for (int i = 0; i < n - 1; ++i) {
+    const NodeStats& s = c.nodes[static_cast<std::size_t>(i)]->stats();
+    EXPECT_GT(s.delivered_epochs, 100u) << "node " << i;
+    EXPECT_GE(s.resident_epochs, s.delivered_epochs) << "node " << i;
+    EXPECT_GT(s.retained_chunk_bytes, mid[static_cast<std::size_t>(i)])
+        << "node " << i;
+  }
+  c.expect_all_logs_consistent();
 }
 
 // --- durable store: recovery replay and VID-coded catch-up ------------------
