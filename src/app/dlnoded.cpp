@@ -628,8 +628,9 @@ int main(int argc, char** argv) {
                    " admitted=%" PRIu64 " committed=%" PRIu64
                    " dup=%" PRIu64 " full=%" PRIu64 " notified=%" PRIu64 "\n",
                    flags.id, shards != nullptr ? shards->shard_count() : 1,
-                   gs.submits, ms.admitted, ms.committed,
-                   ms.dropped_duplicate, ms.dropped_full, gs.commits_notified);
+                   gs.submits.load(), ms.admitted.load(), ms.committed.load(),
+                   ms.dropped_duplicate.load(), ms.dropped_full.load(),
+                   gs.commits_notified.load());
     }
   }
   return timed_out ? 1 : 0;

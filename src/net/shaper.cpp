@@ -189,20 +189,11 @@ std::size_t LinkShaper::take(double now, std::size_t want) {
   return grant;
 }
 
-void LinkShaper::refund(std::size_t bytes) {
-  if (bytes == 0) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  tokens_ = std::min(static_cast<double>(burst_),
-                     tokens_ + static_cast<double>(bytes));
-  stats_.shaped_bytes -= std::min(stats_.shaped_bytes,
-                                  static_cast<std::uint64_t>(bytes));
-}
-
-double LinkShaper::next_release(double now) {
+double LinkShaper::next_release(double now, std::size_t want) {
   std::lock_guard<std::mutex> lk(mu_);
   refill_locked(now);
   if (cfg_.schedule.unlimited()) return now;
-  double deficit = static_cast<double>(quantum_) - tokens_;
+  double deficit = static_cast<double>(std::min(want, quantum_)) - tokens_;
   if (deficit <= 0) return now;
   // Integrate the piecewise schedule forward until the deficit is covered.
   double t = now;
@@ -215,6 +206,10 @@ double LinkShaper::next_release(double now) {
     deficit -= rate * (boundary - t);
     t = boundary;
   }
+}
+
+double LinkShaper::arrival(double paid_at, double after) {
+  return std::max(paid_at + delay_draw(), after);
 }
 
 double LinkShaper::delay_draw() {

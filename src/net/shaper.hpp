@@ -4,9 +4,10 @@
 // follows a piecewise-constant schedule — the exact semantics of the
 // simulator's sim::Trace, so the same rate trace can drive a FluidLink in
 // the simulator and a TcpEnv in a real deployment (the cross-validation
-// tests compare the two). On top of the bucket the shaper adds a fixed
-// one-way delay, uniform jitter, and Bernoulli frame loss, mirroring
-// classic schedule-driven link emulation (cf. the NS-2 tutorial exemplar).
+// tests compare the two). A frame that the bucket has paid for then waits
+// out a fixed one-way delay plus uniform jitter; Bernoulli frame loss rounds
+// out classic schedule-driven link emulation (cf. the NS-2 tutorial
+// exemplar: queue, then transmission, then propagation).
 //
 // Threading: all methods are safe to call from any thread. One shaper
 // instance is typically *shared* across every peer of a TcpEnv (modelling
@@ -61,15 +62,19 @@ std::optional<std::vector<double>> parse_rate_list(std::string_view text,
 std::optional<RateSchedule> load_rate_trace(const std::string& path,
                                             std::string* err);
 
-// Token-bucket pacer with schedule-driven fill rate plus delay/jitter/loss.
+// One direction of a WAN link, modelled the way the simulator's FluidLink
+// (and the classic NS-2 link) does it: a frame is first *serialized* at the
+// schedule's rate, then *propagates* for the fixed delay plus jitter. Frames
+// that are propagating never hold up the serialization of later ones.
 //
-// Usage at the write-queue drain (see TcpEnv::flush_writes):
-//   size_t budget = shaper->take(now, want);   // reserves tokens
-//   ... sendmsg() at most `budget` bytes, actually writes n ...
-//   shaper->refund(budget - n);                // EAGAIN / short write
-//   if (budget == 0) wake at shaper->next_release(now);
+// Usage per outbound connection (see TcpEnv::serialize):
+//   size_t got = shaper->take(now, owed);       // pay for the head frame
+//   if (got == 0) wake at shaper->next_release(now, owed);
+//   once the frame is paid in full:
+//     release = shaper->arrival(now, prev_release);   // hand to the kernel then
 // take() reserves rather than peeks so that peers on different event loops
-// sharing one bucket cannot both spend the same tokens.
+// sharing one bucket cannot both spend the same tokens. A frame larger than
+// the bucket is paid in several take() instalments.
 class LinkShaper {
  public:
   struct Config {
@@ -92,19 +97,23 @@ class LinkShaper {
   // shaper built at process start consumes the trace from its beginning.
   LinkShaper(const Config& cfg, double now);
 
-  // Reserve up to `want` tokens available at `now`. Returns 0 (and counts a
-  // throttle wait) when fewer than min(want, quantum) tokens are available —
-  // sub-quantum grants would degrade into per-byte syscalls.
+  // Stage 1, serialization. Reserves up to `want` tokens available at `now`.
+  // Returns 0 (and counts a throttle wait) when fewer than min(want, quantum)
+  // tokens are available — sub-quantum grants would degrade into per-byte
+  // instalments.
   std::size_t take(double now, std::size_t want);
 
-  // Return tokens that were reserved by take() but not actually sent.
-  void refund(std::size_t bytes);
-
-  // Earliest time at which take(t, quantum) can succeed. Integrates the
+  // Earliest time at which take(t, want) can succeed. Integrates the
   // piecewise schedule across rate boundaries. Returns `now` if tokens are
   // already available, +inf on a pathological zero rate (cannot happen with
   // the kMinRate floor).
-  double next_release(double now);
+  double next_release(double now, std::size_t want);
+
+  // Stage 2, propagation. When a frame whose last byte was paid at `paid_at`
+  // reaches the far end: paid_at + delay_draw(), but never before `after`
+  // (the previous frame on the same connection), so byte order survives
+  // jitter.
+  double arrival(double paid_at, double after);
 
   // Per-frame delay sample: delay + jitter * U[0,1).
   double delay_draw();
@@ -113,7 +122,6 @@ class LinkShaper {
   bool lose_frame(std::size_t frame_bytes);
 
   bool unlimited_rate() const { return cfg_.schedule.unlimited(); }
-  bool has_delay() const { return cfg_.delay > 0 || cfg_.jitter > 0; }
   bool has_loss() const { return cfg_.loss > 0; }
   std::size_t quantum() const { return quantum_; }
   std::size_t burst() const { return burst_; }

@@ -30,6 +30,7 @@ constexpr std::size_t kMaxIov = 64;
 constexpr std::size_t kRecvBatchBytes = 64u << 10;
 
 constexpr auto relaxed = std::memory_order_relaxed;
+constexpr double kNever = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -373,15 +374,10 @@ void TcpEnv::enqueue(Peer& p, OutFrame frame, const runtime::SendOpts& opts) {
     p.stats.shaped_drop_bytes.fetch_add(size, relaxed);
     return;
   }
-  if (p.shaper) {
-    if (p.shaper->lose_frame(size)) {
-      p.stats.shaped_drops.fetch_add(1, relaxed);
-      p.stats.shaped_drop_bytes.fetch_add(size, relaxed);
-      return;
-    }
-    if (p.shaper->has_delay()) {
-      frame.ready_at = owner_loop(p.id).now() + p.shaper->delay_draw();
-    }
+  if (p.shaper && p.shaper->lose_frame(size)) {
+    p.stats.shaped_drops.fetch_add(1, relaxed);
+    p.stats.shaped_drop_bytes.fetch_add(size, relaxed);
+    return;
   }
   if (size > opt_.max_frame_bytes + kFrameHeaderBytes) {
     // Never emit a frame every receiver is obliged to reject — that would
@@ -414,12 +410,11 @@ void TcpEnv::enqueue_and_flush(Peer& p, OutFrame frame,
 
 void TcpEnv::update_interest(Peer& p) {
   if (p.fd < 0) return;
-  // While the drain is paused on the shaper (token deficit or link delay),
-  // EPOLLOUT must be off — the socket is writable the whole time and would
-  // otherwise spin the loop; the shape timer reopens the gate.
-  const bool backlog =
-      p.has_inflight || !p.high.empty() || !p.low.empty();
-  const bool want = p.connecting || (backlog && !p.shaper_blocked);
+  // EPOLLOUT only while the kernel has refused part of a frame: flush_writes
+  // leaves the queues either empty or behind an inflight frame, and a shaped
+  // peer's frames that are still serializing or propagating wait on the
+  // shape timer instead (a writable socket would otherwise spin the loop).
+  const bool want = p.connecting || p.has_inflight;
   const std::uint32_t events =
       EPOLLIN | (want ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
   if (want == p.want_write) return;
@@ -445,81 +440,88 @@ void TcpEnv::add_iov(const OutFrame& f, std::size_t off, iovec* iov,
   }
 }
 
+TcpEnv::OutFrame* TcpEnv::queued_head(Peer& p) {
+  if (!p.high.empty()) return &p.high.front();
+  if (!p.low.empty()) return &p.low.begin()->second;
+  return nullptr;
+}
+
+TcpEnv::OutFrame TcpEnv::pop_queued(Peer& p) {
+  OutFrame f;
+  if (!p.high.empty()) {
+    f = std::move(p.high.front());
+    p.high.pop_front();
+  } else {
+    f = std::move(p.low.begin()->second);
+    p.low.erase(p.low.begin());
+  }
+  return f;
+}
+
+bool TcpEnv::next_inflight(Peer& p, double now) {
+  if (p.shaper) {
+    // Only frames that have finished propagating reach the kernel.
+    if (p.wire.empty() || p.wire.front().first > now) return false;
+    p.inflight = std::move(p.wire.front().second);
+    p.wire.pop_front();
+  } else {
+    if (queued_head(p) == nullptr) return false;
+    p.inflight = pop_queued(p);
+  }
+  p.has_inflight = true;
+  p.inflight_off = 0;
+  return true;
+}
+
+double TcpEnv::serialize(Peer& p, double now) {
+  // The head frame is taken off the queues at its first instalment, so a
+  // later High frame cannot preempt it and cancel_send cannot pull it back.
+  for (;;) {
+    OutFrame* f = p.has_paying ? &p.paying : queued_head(p);
+    if (f == nullptr) return kNever;
+    const std::size_t owed = f->size() - p.paid;
+    const std::size_t got = p.shaper->take(now, owed);
+    if (got == 0) {
+      p.stats.shaper_waits.fetch_add(1, relaxed);
+      return p.shaper->next_release(now, owed);
+    }
+    if (!p.has_paying) {
+      p.paying = pop_queued(p);
+      p.has_paying = true;
+    }
+    p.paid += got;
+    if (p.paid < p.paying.size()) continue;
+    // An empty FIFO means every earlier frame has already arrived.
+    const double after = p.wire.empty() ? now : p.wire.back().first;
+    p.wire.emplace_back(p.shaper->arrival(now, after), std::move(p.paying));
+    p.paid = 0;
+    p.has_paying = false;
+  }
+}
+
 void TcpEnv::flush_writes(Peer& p) {
-  p.shaper_blocked = false;  // re-evaluate the gate from scratch
+  const double now = p.shaper ? owner_loop(p.id).now() : 0.0;
+  const double pay_at = p.shaper ? serialize(p, now) : kNever;
   while (p.fd >= 0) {
-    if (!p.has_inflight) {
-      if (!p.high.empty()) {
-        p.inflight = std::move(p.high.front());
-        p.high.pop_front();
-      } else if (!p.low.empty()) {
-        p.inflight = std::move(p.low.begin()->second);
-        p.low.erase(p.low.begin());
-      } else {
-        break;
-      }
-      p.has_inflight = true;
-      p.inflight_off = 0;
-    }
-    // WAN emulation gates, enforced at the drain so the data stays where it
-    // already is (zero-copy): (1) the head frame's release time — a frame
-    // whose first byte is out keeps going, pacing handles the rest; (2) the
-    // token bucket, which caps how many bytes this round may gather.
-    const double now = p.shaper ? owner_loop(p.id).now() : 0.0;
-    if (p.inflight_off == 0 && p.inflight.ready_at > now) {
-      p.shaper_blocked = true;
-      schedule_shape_wake(p, p.inflight.ready_at);
-      break;
-    }
-    std::size_t budget = std::numeric_limits<std::size_t>::max();
-    const bool paced = p.shaper && !p.shaper->unlimited_rate();
-    if (paced) {
-      budget = p.shaper->take(now, p.stats.queued_bytes.load(relaxed));
-      if (budget == 0) {
-        p.shaper_blocked = true;
-        p.stats.shaper_waits.fetch_add(1, relaxed);
-        schedule_shape_wake(p, p.shaper->next_release(now));
-        break;
-      }
-    }
-    // Gather the inflight remainder plus as many released queued frames as
-    // fit in one sendmsg — consume_written pops them in exactly this order.
+    if (!p.has_inflight && !next_inflight(p, now)) break;
+    // Gather the inflight remainder plus as many sendable frames as fit in
+    // one sendmsg — consume_written pops them in exactly this order.
     iovec iov[kMaxIov];
     std::size_t niov = 0;
-    std::size_t gathered = p.inflight.size() - p.inflight_off;
     add_iov(p.inflight, p.inflight_off, iov, niov);
-    // consume_written pops High before Low, so the moment a gated High frame
-    // stops this loop nothing after it may be gathered — not even released
-    // Low frames — or the write accounting would pop the wrong frames.
-    bool high_gated = false;
-    for (const OutFrame& f : p.high) {
-      if (niov + 2 > kMaxIov || gathered >= budget) break;
-      if (f.ready_at > now) {  // FIFO: later frames wait behind it
-        high_gated = true;
-        break;
-      }
-      add_iov(f, 0, iov, niov);
-      gathered += f.size();
-    }
-    if (!high_gated && niov + 2 <= kMaxIov && gathered < budget) {
-      for (const auto& [key, f] : p.low) {
-        if (niov + 2 > kMaxIov || gathered >= budget) break;
-        if (f.ready_at > now) break;
+    if (p.shaper) {
+      for (const auto& [arrives, f] : p.wire) {
+        if (niov + 2 > kMaxIov || arrives > now) break;
         add_iov(f, 0, iov, niov);
-        gathered += f.size();
       }
-    }
-    // Pacing trims the gather to the granted bytes in place — the frames
-    // themselves are untouched, the last iovec just gets shorter.
-    if (gathered > budget) {
-      std::size_t acc = 0;
-      for (std::size_t i = 0; i < niov; ++i) {
-        if (acc + iov[i].iov_len > budget) {
-          iov[i].iov_len = budget - acc;
-          niov = i + (iov[i].iov_len > 0 ? 1u : 0u);
-          break;
-        }
-        acc += iov[i].iov_len;
+    } else {
+      for (const OutFrame& f : p.high) {
+        if (niov + 2 > kMaxIov) break;
+        add_iov(f, 0, iov, niov);
+      }
+      for (const auto& [key, f] : p.low) {
+        if (niov + 2 > kMaxIov) break;
+        add_iov(f, 0, iov, niov);
       }
     }
     msghdr mh{};
@@ -529,15 +531,22 @@ void TcpEnv::flush_writes(Peer& p) {
     // as a process-killing SIGPIPE.
     const ssize_t n = ::sendmsg(p.fd, &mh, MSG_NOSIGNAL);
     if (n > 0) {
-      if (paced) p.shaper->refund(budget - static_cast<std::size_t>(n));
-      consume_written(p, static_cast<std::size_t>(n));
+      consume_written(p, static_cast<std::size_t>(n), now);
       continue;
     }
-    if (paced) p.shaper->refund(budget);
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n < 0 && errno == EINTR) continue;
     disconnect(p, "write error");
     return;
+  }
+  if (p.shaper) {
+    // Wake when the bucket can pay the next frame or the FIFO head arrives,
+    // whichever is first; a refused write waits on EPOLLOUT instead.
+    double wake = pay_at;
+    if (!p.has_inflight && !p.wire.empty()) {
+      wake = std::min(wake, p.wire.front().first);
+    }
+    if (wake < kNever) schedule_shape_wake(p, wake);
   }
   update_interest(p);
 }
@@ -549,27 +558,15 @@ void TcpEnv::schedule_shape_wake(Peer& p, double when) {
   p.shape_timer = owner.at(when, [this, id] {
     Peer& q = peer(id);
     q.shape_timer = 0;
-    q.shaper_blocked = false;
     if (q.fd >= 0 && !q.connecting) flush_writes(q);
   });
 }
 
-void TcpEnv::consume_written(Peer& p, std::size_t n) {
-  // Pop order mirrors the gather order in flush_writes: the inflight frame,
-  // then High in queue order, then Low in (order, seq) order. Only the last
+void TcpEnv::consume_written(Peer& p, std::size_t n, double now) {
+  // Pop order mirrors the gather order in flush_writes. Only the last
   // partially-written frame stays behind as the new inflight.
   while (n > 0) {
-    if (!p.has_inflight) {
-      if (!p.high.empty()) {
-        p.inflight = std::move(p.high.front());
-        p.high.pop_front();
-      } else {
-        p.inflight = std::move(p.low.begin()->second);
-        p.low.erase(p.low.begin());
-      }
-      p.has_inflight = true;
-      p.inflight_off = 0;
-    }
+    if (!p.has_inflight) next_inflight(p, now);
     const std::size_t frame_size = p.inflight.size();
     const std::size_t remaining = frame_size - p.inflight_off;
     if (n >= remaining) {
@@ -722,7 +719,6 @@ void TcpEnv::disconnect(Peer& p, const char* /*why*/) {
     owner.cancel_timer(p.shape_timer);
     p.shape_timer = 0;
   }
-  p.shaper_blocked = false;
   p.stats.connected.store(false, relaxed);
   // The reader is NOT reset here: disconnect() can fire from inside this
   // peer's own drain_frames (a receiver callback sends, the send hits a
@@ -789,13 +785,16 @@ void TcpEnv::on_dial_connected(Peer& p) {
   p.connecting = false;
   p.established_at = owner_loop(p.id).now();
   p.stats.connected.store(true, relaxed);
-  // The handshake frame goes out before anything queued while disconnected.
+  // The handshake frame goes out before anything queued while disconnected,
+  // and outside any link shaping: it is the head of the new byte stream.
+  // (disconnect() dropped any partially written frame.)
   const Bytes hello = encode_hello(static_cast<std::uint32_t>(self_));
-  OutFrame f;
-  f.header_len = static_cast<std::uint8_t>(hello.size());
-  std::memcpy(f.header.data(), hello.data(), hello.size());
-  p.stats.queued_bytes.fetch_add(f.size(), relaxed);
-  p.high.push_front(std::move(f));
+  p.inflight = OutFrame{};
+  p.inflight.header_len = static_cast<std::uint8_t>(hello.size());
+  std::memcpy(p.inflight.header.data(), hello.data(), hello.size());
+  p.inflight_off = 0;
+  p.has_inflight = true;
+  p.stats.queued_bytes.fetch_add(p.inflight.size(), relaxed);
   flush_writes(p);
 }
 

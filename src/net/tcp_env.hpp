@@ -33,6 +33,14 @@
 // with O(1)-amortized cancellation by tag — the paper's prioritization (§5)
 // and cancel-on-decode (§6.3) on a real socket.
 //
+// WAN emulation ([[link]]): a shaped peer's frames pass two stages before
+// the kernel sees them, as on FluidLink. Serialize: the head of the queues
+// above leaves only once the LinkShaper's token bucket has paid for all of
+// its bytes. Propagate: it then waits in a per-peer FIFO until its arrival
+// time (paid-at + delay + jitter, monotone per peer). A frame in the FIFO is
+// on the wire — cancel_send no longer reaches it — and never delays the
+// serialization of frames behind it. Unshaped peers skip both stages.
+//
 // Fault handling: a broken or garbled connection is torn down; the dialing
 // side redials with exponential backoff (the accepting side simply waits).
 // Frames already handed to the kernel are gone — the protocols above are
@@ -186,9 +194,6 @@ class TcpEnv final : public runtime::Env {
     std::uint8_t header_len = 0;
     std::shared_ptr<const Bytes> body;
     std::uint64_t tag = 0;
-    // Earliest time the first byte may hit the wire (link delay + jitter);
-    // 0 = immediately. Stamped at enqueue, enforced at the drain.
-    double ready_at = 0;
 
     std::size_t size() const {
       return header_len + (body ? body->size() : 0);
@@ -228,6 +233,13 @@ class TcpEnv final : public runtime::Env {
     OutFrame inflight;          // partially written head frame
     std::size_t inflight_off = 0;
     bool has_inflight = false;
+    // WAN emulation stages (shaped peers only). `paying` is the frame being
+    // serialized, `paid` of its bytes covered by the bucket so far; `wire`
+    // holds serialized frames in arrival order, waiting out their delay.
+    OutFrame paying;
+    std::size_t paid = 0;
+    bool has_paying = false;
+    std::deque<std::pair<double, OutFrame>> wire;  // (arrival time, frame)
     double backoff = 0;         // current redial delay
     double established_at = 0;  // when the dialed connection came up
     std::uint64_t redial_timer = 0;
@@ -236,7 +248,6 @@ class TcpEnv final : public runtime::Env {
     // peers (one aggregate egress bucket, like FluidLink) when it does not.
     std::shared_ptr<LinkShaper> shaper;
     std::uint64_t shape_timer = 0;  // pending drain wake, owner-loop timer
-    bool shaper_blocked = false;    // drain paused: gate EPOLLOUT off
     PeerCounters stats;
   };
 
@@ -282,8 +293,15 @@ class TcpEnv final : public runtime::Env {
   void enqueue_and_flush(Peer& p, OutFrame frame, const runtime::SendOpts& opts);
   void deliver_local(std::shared_ptr<const Bytes> env_bytes);
   void update_interest(Peer& p);
+  OutFrame* queued_head(Peer& p);  // next frame by priority, or null
+  OutFrame pop_queued(Peer& p);
+  // Moves the next frame due at the kernel into `inflight`; false if none.
+  bool next_inflight(Peer& p, double now);
+  // Shaped peers: pays queued frames through the bucket onto `wire`.
+  // Returns when the bucket can pay the next one (+inf if none waits).
+  double serialize(Peer& p, double now);
   void flush_writes(Peer& p);
-  void consume_written(Peer& p, std::size_t n);
+  void consume_written(Peer& p, std::size_t n, double now);
   bool drain_frames(Peer& p);  // false once the connection was torn down
   void batch_add(RecvBatch& b, int from, ByteView frame);
   void post_batch(RecvBatch& b);

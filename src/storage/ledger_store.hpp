@@ -27,11 +27,13 @@
 // Concurrency and the write path: append_*() is cheap — it encodes the
 // record into a staging buffer and updates the in-memory index under a
 // mutex — and is home-loop-called by DlNode; drain() does the actual
-// write(2)+fsync(2) work and is pushed through runtime::Env::offload, so
-// durability never serializes the data plane (the simulator runs it inline,
-// keeping event order deterministic). Readers (recovery replay, catch-up
-// serving) force a drain first and then pread(2) from the segment files, so
-// there is exactly one source of truth for record bytes.
+// write(2)+fsync(2) work and is pushed through runtime::Env::offload. That
+// takes it off the home loop only when the TcpEnv has a worker pool
+// (dlnoded --workers N, N >= 1); with the default --workers 0, and in the
+// simulator, offload runs the drain inline, on the home loop (the simulator
+// relies on this to keep event order deterministic). Readers (recovery
+// replay, catch-up serving) force a drain first and then pread(2) from the
+// segment files, so there is exactly one source of truth for record bytes.
 //
 // Fsync policy (--fsync flag of dlnoded):
 //   never  — write(2) only. Survives SIGKILL (page cache), not power loss.

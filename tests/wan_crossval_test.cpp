@@ -13,12 +13,13 @@
 //    cluster over the same trace. In the demand-limited window the legs
 //    must agree closely (both commit the offered load). In the saturated
 //    window we pin the qualitative shape — goodput collapses on both
-//    backends — but only a factor-4 quantitative band, because the fluid
-//    model differs structurally from a real TCP stack once queues build:
-//    FluidLink shares capacity High:Low at weight_high=30 while TcpEnv
-//    drains strict-priority, and the sim applies propagation delay after
-//    full serialization while the real shaper's delay stamp is absorbed
-//    into queueing. See docs/PERF.md ("Sim-vs-real cross-validation").
+//    backends — but only a factor-4 quantitative band. Both backends now
+//    use the same link model (serialize at the trace rate, then apply the
+//    propagation delay, which never holds up later frames), but they still
+//    differ once queues build: FluidLink shares capacity High:Low at
+//    weight_high=30 while TcpEnv serializes strict-priority, and TCP adds
+//    its own framing and kernel buffering. See docs/PERF.md ("Sim-vs-real
+//    cross-validation").
 #include <gtest/gtest.h>
 
 #include <memory>
