@@ -12,20 +12,20 @@
 // Transactions come from one of two sources:
 //
 //   - The client ingress plane (default when the config gives this node a
-//     client_port): a client::Gateway accepts dl_client/dl_loadgen
-//     connections, admits transactions through a client::Mempool, and
-//     notifies submitters when their transactions commit. With --loops 1
-//     (default) the gateway shares the node's event loop; --loops N >= 2
-//     runs N gateway shards on their own threads behind one SO_REUSEPORT
-//     listen port (client::IngressShards). See docs/DEPLOY.md.
+//     client_port): client::IngressShards accepts dl_client/dl_loadgen
+//     connections, admits transactions through a client::Mempool per
+//     shard, and notifies submitters when their transactions commit. With
+//     --loops 1 (default) its one shard runs on the node's event loop;
+//     --loops N >= 2 runs N shards on their own threads behind one
+//     SO_REUSEPORT listen port. See docs/DEPLOY.md.
+//   - --selfdrive: the legacy synthetic generator (one transaction every
+//     --tx-interval-ms), for self-contained smoke runs with no external
+//     load source.
 //
 // --workers M >= 1 adds a fixed pool of M coding threads: erasure
 // encode/decode and Merkle hashing run off the node loop (runtime::Env::
 // offload), completions post back to it. M = 0 (default) keeps all coding
 // inline on the node loop.
-//   - --selfdrive: the legacy synthetic generator (one transaction every
-//     --tx-interval-ms), for self-contained smoke runs with no external
-//     load source.
 //
 // Lifecycle: with --target-epochs E the process exits 0 once it delivered E
 // epochs, after a --linger-seconds grace during which it keeps serving
@@ -48,7 +48,6 @@
 #include <string>
 
 #include "adversary/adversary.hpp"
-#include "client/gateway.hpp"
 #include "client/ingress.hpp"
 #include "crypto/sha256.hpp"
 #include "dl/block.hpp"
@@ -80,7 +79,7 @@ struct Flags {
   double linger = 3.0;
   double max_seconds = 120.0;
   bool quiet = false;
-  int loops = 1;      // gateway ingress shards (>= 2: own threads)
+  int loops = 1;      // client ingress shards (>= 2: own threads)
   int workers = 0;    // coding worker pool threads (0: inline)
   int net_loops = 1;  // replica transport loops (>= 2: own threads)
   std::string adversary;  // deviation spec; empty = honest
@@ -102,8 +101,8 @@ void usage(const char* argv0) {
       "  --propose-delay-ms M   proposal pacing delay (default 20)\n"
       "  --propose-size B       proposal pacing size trigger (default 32768)\n"
       "  --max-block-bytes B    block size cap (default 262144)\n"
-      "  --loops N              client ingress event loops (default 1; >=2 shards the\n"
-      "                         client port across N threads via SO_REUSEPORT)\n"
+      "  --loops N              client ingress shards (default 1, on the node loop;\n"
+      "                         >=2 runs N shard threads behind one SO_REUSEPORT port)\n"
       "  --workers M            coding worker threads for erasure/Merkle work\n"
       "                         (default 0: inline on the node loop)\n"
       "  --net-loops K          replica transport event loops (default 1; >=2\n"
@@ -304,8 +303,7 @@ int main(int argc, char** argv) {
   // still be alive. The completions they post land in the loop mailbox
   // (declared first, destroyed last) and are simply dropped with it.
   std::unique_ptr<runtime::WorkerPool> pool;
-  std::unique_ptr<client::Gateway> gateway;      // --loops 1
-  std::unique_ptr<client::IngressShards> shards; // --loops >= 2
+  std::unique_ptr<client::IngressShards> ingress;  // null without client_port
   // Observability plane. The registry outlives the admin server and the
   // exporter; the exporter's sample hook dereferences node/env/store, all of
   // which are destroyed after these (declared above).
@@ -347,20 +345,13 @@ int main(int argc, char** argv) {
     if (store != nullptr) node->attach_store(store.get());
 
     if (me.client_port != 0) {
-      client::Gateway::Options gopt;
+      client::IngressShards::Options iopt;
+      iopt.shards = flags.loops;
       // A transaction must fit into a block next to its header.
-      gopt.mempool.max_tx_bytes =
-          std::min(gopt.mempool.max_tx_bytes, flags.max_block_bytes / 2);
-      if (flags.loops >= 2) {
-        client::IngressShards::Options sopt;
-        sopt.shards = flags.loops;
-        sopt.gateway = gopt;
-        shards = std::make_unique<client::IngressShards>(
-            *node, *env, me.host, me.client_port, sopt);
-      } else {
-        gateway = std::make_unique<client::Gateway>(loop, *node, me.host,
-                                                    me.client_port, gopt);
-      }
+      iopt.mempool.max_tx_bytes =
+          std::min(iopt.mempool.max_tx_bytes, flags.max_block_bytes / 2);
+      ingress = std::make_unique<client::IngressShards>(
+          *node, loop, me.host, me.client_port, iopt);
     }
 
     // Observability: the flight recorder is live whenever anyone could ask
@@ -376,8 +367,7 @@ int main(int argc, char** argv) {
       es.node = node.get();
       es.env = env.get();
       es.home_loop = &loop;
-      es.shards = shards.get();
-      es.gateway = gateway.get();
+      es.ingress = ingress.get();
       es.store = store.get();
       exporter = std::make_unique<obs::NodeExporter>(registry, es);
       loop.set_task_histogram(registry.histogram(
@@ -425,13 +415,10 @@ int main(int argc, char** argv) {
                        r.at_epoch, r.block_epoch, r.proposer,
                        sha256(block.encode()).hex().c_str());
         }
-        for (const core::Transaction& tx : block.txs) {
-          const Hash h = sha256(tx.payload);
-          if (gateway != nullptr) {
-            gateway->mempool().seed_committed(h, r.at_epoch, r.proposer);
-          }
-          if (shards != nullptr) {
-            shards->seed_committed(h, r.at_epoch, r.proposer);
+        if (ingress != nullptr) {
+          for (const core::Transaction& tx : block.txs) {
+            ingress->seed_committed(sha256(tx.payload), r.at_epoch,
+                                    r.proposer);
           }
         }
         return true;
@@ -480,11 +467,8 @@ int main(int argc, char** argv) {
                    flags.id, at_epoch);
       std::_Exit(44);
     }
-    if (gateway != nullptr) {
-      gateway->on_block_delivered(at_epoch, key, block, now);
-    }
-    if (shards != nullptr) {
-      shards->on_block_delivered(at_epoch, key, block, now);
+    if (ingress != nullptr) {
+      ingress->on_block_delivered(at_epoch, key, block, now);
     }
     if (flags.target_epochs != 0 &&
         node->stats().delivered_epochs >= flags.target_epochs) {
@@ -532,8 +516,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "dlnoded[%d]: signal: graceful shutdown\n",
                      flags.id);
       }
-      if (gateway != nullptr) gateway->shutdown();
-      if (shards != nullptr) shards->shutdown();
+      if (ingress != nullptr) ingress->shutdown();
       if (ledger != nullptr) std::fflush(ledger);
       loop.stop();
     });
@@ -566,16 +549,14 @@ int main(int argc, char** argv) {
   });
 
   env->start(*node);
-  if (gateway != nullptr) gateway->start();
-  if (shards != nullptr) shards->start();
+  if (ingress != nullptr) ingress->start();
   loop.run();
 
   // Teardown order: ingress first (shard threads join; no new submissions
   // or commit fan-outs), then — by reverse declaration order — the worker
   // pool (its destructor drains pending jobs while node/env/loop are all
   // still alive), then the node and env with the loop stopped.
-  if (gateway != nullptr) gateway->shutdown();
-  if (shards != nullptr) shards->shutdown();
+  if (ingress != nullptr) ingress->shutdown();
   if (sfd >= 0) {
     loop.del_fd(sfd);
     close(sfd);
@@ -617,17 +598,14 @@ int main(int argc, char** argv) {
                    ss.appended_records, ss.appended_bytes, ss.drains,
                    ss.fsyncs, store->segment_count());
     }
-    if (gateway != nullptr || shards != nullptr) {
-      const client::Gateway::Stats gs =
-          shards != nullptr ? shards->aggregate_stats() : gateway->stats();
-      const client::MempoolStats ms = shards != nullptr
-                                          ? shards->aggregate_mempool_stats()
-                                          : gateway->mempool().stats();
+    if (ingress != nullptr) {
+      const client::Gateway::Stats gs = ingress->aggregate_stats();
+      const client::MempoolStats ms = ingress->aggregate_mempool_stats();
       std::fprintf(stderr,
                    "dlnoded[%d]: ingress: loops=%d submits=%" PRIu64
                    " admitted=%" PRIu64 " committed=%" PRIu64
                    " dup=%" PRIu64 " full=%" PRIu64 " notified=%" PRIu64 "\n",
-                   flags.id, shards != nullptr ? shards->shard_count() : 1,
+                   flags.id, ingress->shard_count(),
                    gs.submits.load(), ms.admitted.load(), ms.committed.load(),
                    ms.dropped_duplicate.load(), ms.dropped_full.load(),
                    gs.commits_notified.load());

@@ -23,18 +23,14 @@ namespace {
 constexpr std::size_t kMaxPendingAccepts = 64;
 // A ClientHello is 21 bytes; more than this without one is not a client.
 constexpr std::size_t kMaxPreAuthBytes = 4096;
-
-// Single-loop wiring: the node shares the gateway's loop, so the sink is a
-// direct call and the gauge is the same-thread read of the atomic.
-Gateway::Sink make_node_sink(core::DlNode& node) {
-  Gateway::Sink s;
-  s.submit = [&node](std::vector<Bytes> batch) {
-    for (Bytes& payload : batch) node.submit(std::move(payload));
-  };
-  s.queue_bytes = [&node] { return node.input_queue_bytes(); };
-  s.max_block_bytes = node.config().max_block_bytes;
-  return s;
-}
+// Client frames are one transaction at most; far below the replica frame
+// ceiling.
+constexpr std::size_t kMaxFrameBytes = 2u * 1024 * 1024;
+// Per-client outbound queue cap; exceeding it disconnects the client.
+constexpr std::size_t kMaxClientQueueBytes = 8u * 1024 * 1024;
+constexpr double kHandshakeTimeout = 5.0;  // seconds
+constexpr std::size_t kMaxClients = 1024;
+constexpr double kPumpInterval = 0.005;  // refill timer, seconds
 
 // Clamped microseconds between two checkpoints; 0 when either is unset.
 std::uint32_t stage_us(double from, double to) {
@@ -56,27 +52,19 @@ net::StageLatencies stage_breakdown(const CommitRecord& rec,
 
 }  // namespace
 
-Gateway::Gateway(net::EventLoop& loop, core::DlNode& node,
-                 const std::string& host, std::uint16_t port, Options opt)
-    : Gateway(loop, make_node_sink(node), host, port, opt) {
-  node_ = &node;
-}
-
 Gateway::Gateway(net::EventLoop& loop, Sink sink, const std::string& host,
-                 std::uint16_t port, Options opt)
-    : loop_(loop), sink_(std::move(sink)), opt_(opt), mempool_(opt.mempool) {
-  watermark_ = opt_.node_queue_watermark != 0
-                   ? opt_.node_queue_watermark
-                   : 2 * sink_.max_block_bytes;
+                 std::uint16_t port, MempoolOptions mempool)
+    : loop_(loop),
+      sink_(std::move(sink)),
+      mempool_(mempool),
+      watermark_(2 * sink_.max_block_bytes) {
   listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) throw std::runtime_error("Gateway: socket() failed");
   int one = 1;
   setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (opt_.reuse_port) {
-    // Shard mode: every shard binds the same port; the kernel load-balances
-    // incoming connections across the listeners.
-    setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one);
-  }
+  // Every shard binds the same port; the kernel load-balances incoming
+  // connections across the listeners.
+  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one);
   sockaddr_in addr{};
   if (!resolve_ipv4(host, port, addr)) {
     close(listen_fd_);
@@ -103,15 +91,15 @@ void Gateway::start() {
   started_ = true;
   loop_.add_fd(listen_fd_, EPOLLIN,
                [this](std::uint32_t ev) { handle_listener(ev); });
-  pump_timer_ = loop_.after(opt_.pump_interval, [this] { pump(); });
+  pump_timer_ = loop_.after(kPumpInterval, [this] { pump(); });
 }
 
 // --- mempool → node ----------------------------------------------------------
 
 void Gateway::drain_into_node() {
-  // One sink call per drain: on a shared loop the batch is submitted
-  // in place, in shard mode it becomes ONE cross-thread post instead of one
-  // per transaction. `batch_bytes` accounts for what this drain already
+  // One sink call per drain: on the node's loop the batch is submitted in
+  // place, from a shard thread it becomes ONE cross-thread post instead of
+  // one per transaction. `batch_bytes` accounts for what this drain already
   // claimed, since a posted batch is not yet visible in the gauge.
   std::size_t batch_bytes = 0;
   std::vector<Bytes> batch;
@@ -128,33 +116,8 @@ void Gateway::pump() {
   pump_timer_ = 0;
   drain_into_node();
   if (!shut_down_) {
-    pump_timer_ = loop_.after(opt_.pump_interval, [this] { pump(); });
+    pump_timer_ = loop_.after(kPumpInterval, [this] { pump(); });
   }
-}
-
-void Gateway::on_block_delivered(std::uint64_t at_epoch,
-                                 const core::BlockKey& key,
-                                 const core::Block& block, double now) {
-  // Nothing of ours is awaiting a commit: skip the per-transaction hashing
-  // entirely (a quiet gateway must not tax the delivery hot path).
-  if (mempool_.tracked_txs() == 0) {
-    drain_into_node();
-    return;
-  }
-  CommitBatch batch;
-  batch.at_epoch = at_epoch;
-  batch.proposer = static_cast<std::uint32_t>(key.proposer);
-  batch.delivered_at = now;
-  if (node_ != nullptr && key.proposer == node_->config().self) {
-    if (const auto* st = node_->own_block_stages(key.epoch)) batch.stages = *st;
-  }
-  auto hashes = std::make_shared<std::vector<Hash>>();
-  hashes->reserve(block.txs.size());
-  for (const core::Transaction& tx : block.txs) {
-    hashes->push_back(sha256(tx.payload));
-  }
-  batch.tx_hashes = std::move(hashes);
-  on_commit_batch(batch);
 }
 
 void Gateway::on_commit_batch(const CommitBatch& batch) {
@@ -201,14 +164,14 @@ void Gateway::handle_listener(std::uint32_t /*events*/) {
       break;
     }
     if (shut_down_ || pending_.size() >= kMaxPendingAccepts ||
-        clients_.size() >= opt_.max_clients) {
+        clients_.size() >= kMaxClients) {
       close(fd);
       continue;
     }
     set_nodelay(fd);
     const std::uint64_t id = next_pending_id_++;
     const std::uint64_t timer =
-        loop_.after(opt_.handshake_timeout, [this, fd, id] {
+        loop_.after(kHandshakeTimeout, [this, fd, id] {
           auto it = pending_.find(fd);
           if (it != pending_.end() && it->second.id == id) {
             it->second.timer = 0;
@@ -216,7 +179,7 @@ void Gateway::handle_listener(std::uint32_t /*events*/) {
           }
         });
     pending_.emplace(
-        fd, PendingAccept{fd, id, timer, net::FrameReader(opt_.max_frame_bytes)});
+        fd, PendingAccept{fd, id, timer, net::FrameReader(kMaxFrameBytes)});
     loop_.add_fd(fd, EPOLLIN,
                  [this, fd](std::uint32_t ev) { handle_pending(fd, ev); });
   }
@@ -407,7 +370,7 @@ void Gateway::handle_submit(Conn& c, const net::WireFrame& wf) {
 
 bool Gateway::ensure_queue_space(Conn& c, std::size_t frame_bytes) {
   if (c.fd < 0) return false;
-  if (c.out.size() + frame_bytes > opt_.max_client_queue_bytes) {
+  if (c.out.size() + frame_bytes > kMaxClientQueueBytes) {
     // The client is not reading its notifications; it may not pin node
     // memory. Closing also discards the queue.
     ++stats_.disconnects_slow;

@@ -8,20 +8,13 @@
 //          ◀──TxCommitted── on_commit_batch (hash-matched per tx)
 //
 // Threading: one Gateway is affine to ONE net::EventLoop — every method
-// below must run on that loop's thread (tracked_gauge() excepted). What
-// varies is where the node lives relative to that loop:
-//
-//   Single-loop: the Gateway shares the replica's own loop. The DlNode&
-//   convenience constructor wires the Sink straight to DlNode::submit and
-//   the delivery callback calls on_block_delivered() in place.
-//
-//   Sharded (client::IngressShards): N Gateways each own a loop + thread
-//   and share one listen port via SO_REUSEPORT (the kernel spreads accepted
-//   connections across the shard listeners; a connection then lives on its
-//   shard's loop for life). The Sink posts admitted batches to the node
-//   loop, the watermark reads DlNode's atomic queue gauge, and the node
-//   loop fans a CommitBatch — per-transaction hashes computed ONCE — out to
-//   every shard via EventLoop::post.
+// below must run on that loop's thread (tracked_gauge() excepted). A
+// Gateway is one shard of client::IngressShards, which owns the wiring: a
+// lone shard runs on the node's own loop and its Sink calls DlNode::submit
+// in place; with N >= 2 shards each owns a loop + thread and the Sink posts
+// to the node loop. Every gateway binds with SO_REUSEPORT, so the shards
+// share one listen port and the kernel spreads accepted connections across
+// them (a connection then lives on its shard's loop for life).
 //
 // Hardening mirrors the replica transport: accepted sockets must complete a
 // ClientHello within a deadline and a small pre-auth byte budget; frames are
@@ -81,27 +74,11 @@ struct CommitBatch {
 
 class Gateway {
  public:
-  struct Options {
-    MempoolOptions mempool;
-    // Client frames are one transaction at most; far below the replica
-    // frame ceiling.
-    std::size_t max_frame_bytes = 2u * 1024 * 1024;
-    // Per-client outbound queue cap; exceeding it disconnects the client.
-    std::size_t max_client_queue_bytes = 8u * 1024 * 1024;
-    double handshake_timeout = 5.0;
-    std::size_t max_clients = 1024;
-    // Stop pumping mempool → node while the node's input queue holds at
-    // least this many bytes (0 = derive 2×max_block_bytes from the sink).
-    std::size_t node_queue_watermark = 0;
-    double pump_interval = 0.005;  // refill timer, seconds
-    // SO_REUSEPORT before bind, so N shard gateways can share one port.
-    bool reuse_port = false;
-  };
-
   // Where admitted transactions go. Both hooks are invoked on the gateway's
-  // loop; `submit` must deliver the batch to the node (directly on a shared
-  // loop, or via a cross-thread post), `queue_bytes` must be safe to call
-  // from this thread (DlNode::input_queue_bytes is an atomic gauge).
+  // loop; `submit` must deliver the batch to the node (directly on the
+  // node's loop, or via a cross-thread post), `queue_bytes` must be safe to
+  // call from this thread (DlNode::input_queue_bytes is an atomic gauge).
+  // The pump stops while the node's queue holds 2 x max_block_bytes.
   struct Sink {
     std::function<void(std::vector<Bytes>)> submit;
     std::function<std::size_t()> queue_bytes;
@@ -123,15 +100,7 @@ class Gateway {
   // Binds the listen socket immediately (port may be 0: read the actual
   // port back via listen_port()); registers with the loop in start().
   Gateway(net::EventLoop& loop, Sink sink, const std::string& host,
-          std::uint16_t port, Options opt);
-  // Single-loop convenience: node and gateway share `loop`; the sink feeds
-  // DlNode::submit directly and on_block_delivered can read the node's
-  // own-block stage stamps itself.
-  Gateway(net::EventLoop& loop, core::DlNode& node, const std::string& host,
-          std::uint16_t port, Options opt);
-  Gateway(net::EventLoop& loop, core::DlNode& node, const std::string& host,
-          std::uint16_t port)
-      : Gateway(loop, node, host, port, Options()) {}
+          std::uint16_t port, MempoolOptions mempool);
   ~Gateway();
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
@@ -139,16 +108,9 @@ class Gateway {
   std::uint16_t listen_port() const { return listen_port_; }
   void start();
 
-  // Single-loop delivery hook: wire this into (or call it from) the node's
-  // delivery callback. Builds the CommitBatch (hashing each transaction
-  // once, skipped entirely while nothing is tracked) and applies it here.
-  // `at_epoch` is the monotone delivery epoch clients see.
-  void on_block_delivered(std::uint64_t at_epoch, const core::BlockKey& key,
-                          const core::Block& block, double now);
-
-  // Sharded delivery hook: applies a prepared batch — match every hash
-  // against this shard's mempool, notify owning clients (with the stage
-  // breakdown), refill the node. Runs on the gateway's loop.
+  // Delivery hook: applies a prepared batch — match every hash against
+  // this shard's mempool, notify owning clients (with the stage breakdown),
+  // refill the node. Runs on the gateway's loop.
   void on_commit_batch(const CommitBatch& batch);
 
   // Tracked-transaction gauge, readable from ANY thread (relaxed atomic):
@@ -205,8 +167,6 @@ class Gateway {
 
   net::EventLoop& loop_;
   Sink sink_;
-  core::DlNode* node_ = nullptr;  // single-loop convenience mode only
-  Options opt_;
   Mempool mempool_;
   int listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;

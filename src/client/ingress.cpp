@@ -6,33 +6,40 @@
 
 namespace dl::client {
 
-IngressShards::IngressShards(core::DlNode& node, runtime::Env& env,
+IngressShards::IngressShards(core::DlNode& node, net::EventLoop& home,
                              const std::string& host, std::uint16_t port,
                              Options opt)
-    : node_(node), env_(env) {
+    : node_(node), home_(home) {
   const int n = std::max(1, opt.shards);
-  opt.gateway.reuse_port = true;
 
   Gateway::Sink sink;
   sink.max_block_bytes = node_.config().max_block_bytes;
   // Atomic gauge: safe from any shard thread. It lags in-flight posted
   // batches, which the gateway's drain accounts for locally.
   sink.queue_bytes = [this] { return node_.input_queue_bytes(); };
-  // One cross-thread post per drained batch, not per transaction.
-  sink.submit = [this](std::vector<Bytes> batch) {
-    env_.defer([this, batch = std::move(batch)]() mutable {
+  if (n == 1) {
+    // The lone shard shares the node's loop: submit in place.
+    sink.submit = [this](std::vector<Bytes> batch) {
       for (Bytes& payload : batch) node_.submit(std::move(payload));
-    });
-  };
+    };
+  } else {
+    // One cross-thread post per drained batch, not per transaction.
+    sink.submit = [this](std::vector<Bytes> batch) {
+      home_.post([this, batch = std::move(batch)]() mutable {
+        for (Bytes& payload : batch) node_.submit(std::move(payload));
+      });
+    };
+  }
 
   shards_.resize(static_cast<std::size_t>(n));
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& s = shards_[i];
-    s.loop = std::make_unique<net::EventLoop>();
+    if (n > 1) s.loop = std::make_unique<net::EventLoop>();
     // Shard 0 resolves a port-0 bind; the rest must join the same port, and
     // every socket carries SO_REUSEPORT from birth so the group forms.
     const std::uint16_t p = i == 0 ? port : listen_port_;
-    s.gateway = std::make_unique<Gateway>(*s.loop, sink, host, p, opt.gateway);
+    s.gateway = std::make_unique<Gateway>(s.loop ? *s.loop : home_, sink, host,
+                                          p, opt.mempool);
     if (i == 0) listen_port_ = s.gateway->listen_port();
   }
 }
@@ -43,6 +50,10 @@ void IngressShards::start() {
   if (started_ || shut_down_) return;
   started_ = true;
   for (Shard& s : shards_) {
+    if (!s.loop) {
+      s.gateway->start();
+      continue;
+    }
     // Gateway::start touches the loop's epoll/timers, so it must run on the
     // shard thread: posted tasks drain at the top of run().
     s.loop->post([g = s.gateway.get()] { g->start(); });
@@ -77,7 +88,11 @@ void IngressShards::on_block_delivered(std::uint64_t at_epoch,
   batch.tx_hashes = std::move(hashes);
 
   for (Shard& s : shards_) {
-    s.loop->post([g = s.gateway.get(), batch] { g->on_commit_batch(batch); });
+    if (s.loop) {
+      s.loop->post([g = s.gateway.get(), batch] { g->on_commit_batch(batch); });
+    } else {
+      s.gateway->on_commit_batch(batch);
+    }
   }
 }
 
@@ -97,7 +112,7 @@ void IngressShards::shutdown() {
       });
       s.thread.join();
     } else {
-      s.gateway->shutdown();  // never started: still single-threaded
+      s.gateway->shutdown();  // home-loop shard, or never started
     }
   }
 }

@@ -1,15 +1,22 @@
-// IngressShards — the multi-core client ingress plane.
+// IngressShards — the client ingress plane of one replica.
 //
-// N client::Gateways, each owning a dedicated net::EventLoop + thread, all
-// bound to ONE client port via SO_REUSEPORT: the kernel spreads accepted
-// connections across the shard listeners, and every connection then lives
-// on its shard's loop for its whole life (per-connection loop affinity — no
-// socket ever migrates between threads).
+// N client::Gateways, all bound to ONE client port via SO_REUSEPORT: the
+// kernel spreads accepted connections across the shard listeners, and every
+// connection then lives on its shard's loop for its whole life
+// (per-connection loop affinity — no socket ever migrates between threads).
+//
+// One shard (--loops 1) runs on the node's home loop: no thread, no
+// cross-thread post. Its admitted batches call DlNode::submit directly and
+// the delivery callback applies each CommitBatch in place. Both a
+// dedicated thread and self-posts for a lone shard cost peak throughput
+// (measured in docs/PERF.md, "--loops 1: one shard on the node loop").
+//
+// N >= 2 shards each own a net::EventLoop + thread:
 //
 //                       ┌─ shard 0: EventLoop ── Gateway ── Mempool ─┐
 //   clients ──accept──▶ ├─ shard 1: EventLoop ── Gateway ── Mempool ─┤
 //    (SO_REUSEPORT)     └─ ...                                       │
-//                                 admitted batches (Env::defer)      ▼
+//                               admitted batches (EventLoop::post)   ▼
 //                                              node loop: DlNode::submit
 //                                 CommitBatch fan-out (EventLoop::post)
 //                                              ◀ delivery callback
@@ -24,8 +31,7 @@
 // there (the old shard's dedup record is invisible). The payload can then
 // commit twice at the LEDGER level; the client-visible exactly-once
 // contract still holds because DlClient drops commit notifications for
-// unknown seqs. Single-shard deployments keep ledger-level dedup exactly
-// as before.
+// unknown seqs. Single-shard deployments keep ledger-level dedup.
 //
 // Thread affinity: construct, start(), on_block_delivered() and shutdown()
 // belong to the node loop's thread. The aggregate accessors are callable
@@ -43,7 +49,6 @@
 
 #include "client/gateway.hpp"
 #include "net/event_loop.hpp"
-#include "runtime/env.hpp"
 
 namespace dl::client {
 
@@ -51,14 +56,14 @@ class IngressShards {
  public:
   struct Options {
     int shards = 1;  // clamped to >= 1
-    Gateway::Options gateway;
+    MempoolOptions mempool;
   };
 
   // Binds all shard listen sockets immediately (port 0: shard 0 picks the
-  // port, the rest join it via SO_REUSEPORT). `env` must be the node's Env
-  // (its defer() posts to the node's home loop).
-  IngressShards(core::DlNode& node, runtime::Env& env, const std::string& host,
-                std::uint16_t port, Options opt);
+  // port, the rest join it via SO_REUSEPORT). `home` is the loop the node
+  // runs on; a lone shard runs there too.
+  IngressShards(core::DlNode& node, net::EventLoop& home,
+                const std::string& host, std::uint16_t port, Options opt);
   ~IngressShards();
   IngressShards(const IngressShards&) = delete;
   IngressShards& operator=(const IngressShards&) = delete;
@@ -66,16 +71,16 @@ class IngressShards {
   std::uint16_t listen_port() const { return listen_port_; }
   int shard_count() const { return static_cast<int>(shards_.size()); }
 
-  // Spawns one thread per shard and starts accepting clients.
+  // Starts accepting clients; with N >= 2 shards, spawns one thread each.
   void start();
 
-  // Node-loop delivery hook: hash the block's transactions once, fan the
-  // CommitBatch out to every shard. Call from the delivery callback.
+  // Node-loop delivery hook: hash the block's transactions once, hand the
+  // CommitBatch to every shard. Call from the delivery callback.
   void on_block_delivered(std::uint64_t at_epoch, const core::BlockKey& key,
                           const core::Block& block, double now);
 
-  // Orderly shutdown: each shard says Goodbye to its clients, stops its
-  // loop, and is joined. Idempotent.
+  // Orderly shutdown: each shard says Goodbye to its clients; a shard with
+  // its own thread then stops its loop and is joined. Idempotent.
   void shutdown();
 
   // Restart recovery: seed EVERY shard's committed ring (the kernel may
@@ -89,19 +94,22 @@ class IngressShards {
   Gateway::Stats aggregate_stats() const;
   MempoolStats aggregate_mempool_stats() const;
 
-  // Shard loop, for live EventLoop::stats() scraping (the stats cells are
-  // thread-safe; the loop set is fixed at construction).
-  const net::EventLoop& shard_loop(int i) const { return *shards_[i].loop; }
+  // Shard i's own loop, for live EventLoop::stats() scraping (the stats
+  // cells are thread-safe; the loop set is fixed at construction). Null
+  // when the shard runs on the home loop.
+  const net::EventLoop* shard_loop(int i) const {
+    return shards_[static_cast<std::size_t>(i)].loop.get();
+  }
 
  private:
   struct Shard {
-    std::unique_ptr<net::EventLoop> loop;
+    std::unique_ptr<net::EventLoop> loop;  // null: runs on the home loop
     std::unique_ptr<Gateway> gateway;
     std::thread thread;
   };
 
   core::DlNode& node_;
-  runtime::Env& env_;
+  net::EventLoop& home_;
   std::vector<Shard> shards_;
   std::uint16_t listen_port_ = 0;
   bool started_ = false;

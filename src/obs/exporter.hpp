@@ -36,9 +36,8 @@ class TcpEnv;
 class EventLoop;
 }  // namespace dl::net
 namespace dl::client {
-class Gateway;
 class IngressShards;
-}  // namespace dl::client
+}
 namespace dl::storage {
 class LedgerStore;
 }
@@ -49,8 +48,7 @@ struct ExporterSources {
   core::DlNode* node = nullptr;
   net::TcpEnv* env = nullptr;
   const net::EventLoop* home_loop = nullptr;
-  client::IngressShards* shards = nullptr;  // ingress plane, --loops >= 2
-  client::Gateway* gateway = nullptr;       // single-loop ingress, --loops 1
+  client::IngressShards* ingress = nullptr;  // null without a client_port
   storage::LedgerStore* store = nullptr;    // null without --store
 };
 

@@ -14,8 +14,8 @@
 //     registered sample hooks (closures that mirror externally-owned stats
 //     structs into instruments), then walk the families. Hooks run on the
 //     snapshotting thread; in dlnoded that is the node home loop, so hooks
-//     may read home-loop-affine state (NodeStats, the single-loop gateway)
-//     in addition to thread-safe sources.
+//     may read home-loop-affine state (NodeStats) in addition to
+//     thread-safe sources.
 //
 // Instruments are registered once at startup and never unregistered;
 // pointers returned by counter()/gauge()/histogram() stay valid for the

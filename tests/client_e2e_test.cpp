@@ -1,7 +1,8 @@
 // The client ingress plane, end to end and fully in-process: a 4-replica
 // DispersedLedger cluster over real loopback TCP (shared EventLoop, as in
-// net_test.cpp), each replica fronted by a client::Gateway + Mempool, driven
-// ONLY by dl::client::DlClient submissions — no synthetic workload. Every
+// net_test.cpp), each replica fronted by a one-shard client::IngressShards
+// (a Gateway + Mempool on that same loop, as dlnoded runs with --loops 1),
+// driven ONLY by dl::client::DlClient submissions — no synthetic workload. Every
 // submitted transaction must be acked, committed exactly once, and observed
 // with monotone commit epochs; replica ledgers must agree.
 #include <gtest/gtest.h>
@@ -11,13 +12,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "client/dl_client.hpp"
-#include "client/gateway.hpp"
+#include "client/ingress.hpp"
 #include "dl/node.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp_env.hpp"
@@ -35,11 +37,11 @@ net::ClusterConfig loopback_cluster(int n) {
   return cfg;
 }
 
-// One full replica: TCP env + DlNode + client gateway, all on one loop.
+// One full replica: TCP env + DlNode + client ingress, all on one loop.
 struct Replica {
   std::unique_ptr<net::TcpEnv> env;
   std::unique_ptr<core::DlNode> node;
-  std::unique_ptr<Gateway> gateway;
+  std::unique_ptr<IngressShards> ingress;
   std::vector<std::pair<std::uint64_t, core::BlockKey>> ledger;
 };
 
@@ -47,7 +49,7 @@ struct Cluster {
   net::EventLoop loop;
   std::vector<Replica> replicas;
 
-  explicit Cluster(int n, Gateway::Options gopt = {}) {
+  explicit Cluster(int n, MempoolOptions mempool = {}) {
     const net::ClusterConfig cfg = loopback_cluster(n);
     for (int i = 0; i < n; ++i) {
       replicas.emplace_back();
@@ -65,16 +67,18 @@ struct Cluster {
       nc.propose_delay = 0.003;
       nc.max_block_bytes = 8192;
       r.node = std::make_unique<core::DlNode>(nc, *r.env);
-      r.gateway = std::make_unique<Gateway>(loop, *r.node, "127.0.0.1",
-                                            /*port=*/0, gopt);
+      IngressShards::Options iopt;
+      iopt.mempool = mempool;
+      r.ingress = std::make_unique<IngressShards>(*r.node, loop, "127.0.0.1",
+                                                  /*port=*/0, iopt);
       auto* rep = &r;
       r.node->set_delivery_callback([rep](std::uint64_t at, core::BlockKey key,
                                           const core::Block& b, double now) {
         rep->ledger.emplace_back(at, key);
-        rep->gateway->on_block_delivered(at, key, b, now);
+        rep->ingress->on_block_delivered(at, key, b, now);
       });
       r.env->start(*r.node);
-      r.gateway->start();
+      r.ingress->start();
     }
   }
 
@@ -115,8 +119,8 @@ TEST(ClientE2E, TwoHundredTxsCommitExactlyOnceWithMonotoneEpochs) {
 
   // Two clients on different replicas (commit notifications must route to
   // the right gateway and the right connection).
-  DlClient c0(cluster.loop, "127.0.0.1", cluster.replicas[0].gateway->listen_port());
-  DlClient c1(cluster.loop, "127.0.0.1", cluster.replicas[2].gateway->listen_port());
+  DlClient c0(cluster.loop, "127.0.0.1", cluster.replicas[0].ingress->listen_port());
+  DlClient c1(cluster.loop, "127.0.0.1", cluster.replicas[2].ingress->listen_port());
   c0.start();
   c1.start();
 
@@ -206,16 +210,17 @@ TEST(ClientE2E, TwoHundredTxsCommitExactlyOnceWithMonotoneEpochs) {
   }
 
   // Gateways accounted one admission and one notification per transaction.
-  const auto& g0 = cluster.replicas[0].gateway->stats();
+  const Gateway::Stats g0 = cluster.replicas[0].ingress->aggregate_stats();
   EXPECT_EQ(g0.submits, kTxs / 2);
   EXPECT_EQ(g0.commits_notified, kTxs / 2);
-  EXPECT_EQ(cluster.replicas[0].gateway->mempool().stats().committed, kTxs / 2);
+  EXPECT_EQ(cluster.replicas[0].ingress->aggregate_mempool_stats().committed,
+            kTxs / 2);
 }
 
 TEST(ClientE2E, DuplicateSubmissionAckedDuplicateAndCommittedOnce) {
   Cluster cluster(4);
   DlClient cli(cluster.loop, "127.0.0.1",
-               cluster.replicas[1].gateway->listen_port());
+               cluster.replicas[1].ingress->listen_port());
   cli.start();
 
   std::vector<net::TxStatus> acks;
@@ -233,15 +238,17 @@ TEST(ClientE2E, DuplicateSubmissionAckedDuplicateAndCommittedOnce) {
   EXPECT_EQ(acks[0], net::TxStatus::Accepted);
   EXPECT_EQ(acks[1], net::TxStatus::Duplicate);
   EXPECT_EQ(cli.stats().committed, 1u);
-  EXPECT_EQ(cluster.replicas[1].gateway->mempool().stats().dropped_duplicate, 1u);
+  EXPECT_EQ(
+      cluster.replicas[1].ingress->aggregate_mempool_stats().dropped_duplicate,
+      1u);
 }
 
 TEST(ClientE2E, OversizeSubmissionRejectedTerminally) {
-  Gateway::Options gopt;
-  gopt.mempool.max_tx_bytes = 128;
-  Cluster cluster(4, gopt);
+  MempoolOptions mempool;
+  mempool.max_tx_bytes = 128;
+  Cluster cluster(4, mempool);
   DlClient cli(cluster.loop, "127.0.0.1",
-               cluster.replicas[0].gateway->listen_port());
+               cluster.replicas[0].ingress->listen_port());
   cli.start();
 
   net::TxStatus last{};
@@ -258,14 +265,14 @@ TEST(ClientE2E, GarbageOnClientPortIsDroppedNotFatal) {
   // while a well-behaved client on the same gateway keeps committing.
   Cluster cluster(4);
   DlClient cli(cluster.loop, "127.0.0.1",
-               cluster.replicas[0].gateway->listen_port());
+               cluster.replicas[0].ingress->listen_port());
   cli.start();
 
   const int raw = socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(raw, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(cluster.replicas[0].gateway->listen_port());
+  addr.sin_port = htons(cluster.replicas[0].ingress->listen_port());
   inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   ASSERT_EQ(::connect(raw, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
   // A valid-looking header declaring a huge frame, then junk.
@@ -288,7 +295,7 @@ TEST(ClientE2E, GarbageOnClientPortIsDroppedNotFatal) {
 TEST(ClientE2E, GatewayShutdownSendsGoodbye) {
   Cluster cluster(4);
   DlClient cli(cluster.loop, "127.0.0.1",
-               cluster.replicas[3].gateway->listen_port());
+               cluster.replicas[3].ingress->listen_port());
   cli.start();
 
   cluster.loop.after(0.0, [&] { cli.submit(unique_payload(5, 0)); });
@@ -296,9 +303,42 @@ TEST(ClientE2E, GatewayShutdownSendsGoodbye) {
 
   // Graceful shutdown: the client must observe a Goodbye (remote_closed)
   // rather than a reconnect loop against a dead port.
-  cluster.loop.post([&] { cluster.replicas[3].gateway->shutdown(); });
+  cluster.loop.post([&] { cluster.replicas[3].ingress->shutdown(); });
   ASSERT_TRUE(cluster.run_until([&] { return cli.remote_closed(); }, 10.0));
   EXPECT_FALSE(cli.connected());
+}
+
+int thread_count() {
+  int n = 0;
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ClientE2E, OneShardIngressStartsNoThreadAndCommitsOnTheHomeLoop) {
+  // A dedicated thread for a lone shard costs peak throughput; the shard
+  // must run on the node's own loop. Building the cluster includes every
+  // replica's IngressShards::start().
+  const int before = thread_count();
+  Cluster cluster(4);
+  EXPECT_EQ(thread_count(), before);
+
+  DlClient cli(cluster.loop, "127.0.0.1",
+               cluster.replicas[2].ingress->listen_port());
+  cli.start();
+  int most_threads = before;
+  cluster.loop.after(0.0, [&] {
+    for (std::uint64_t i = 0; i < 5; ++i) cli.submit(unique_payload(6, i));
+  });
+  ASSERT_TRUE(cluster.run_until([&] {
+    most_threads = std::max(most_threads, thread_count());
+    return cli.stats().committed >= 5;
+  }));
+  EXPECT_EQ(most_threads, before);
+  EXPECT_EQ(cli.stats().committed, 5u);
+  EXPECT_EQ(cluster.replicas[2].ingress->aggregate_stats().commits_notified, 5u);
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "client/gateway.hpp"
 #include "client/ingress.hpp"
 #include "dl/node.hpp"
 #include "net/event_loop.hpp"
@@ -86,25 +85,16 @@ std::vector<std::string> replica_series(int loops) {
       core::NodeConfig::dispersed_ledger(cfg.n, cfg.f, 0), *env);
   node->attach_store(store.get());
 
-  std::unique_ptr<client::Gateway> gateway;
-  std::unique_ptr<client::IngressShards> shards;
-  if (loops >= 2) {
-    client::IngressShards::Options sopt;
-    sopt.shards = loops;
-    shards = std::make_unique<client::IngressShards>(*node, *env, "127.0.0.1",
-                                                     /*port=*/0, sopt);
-  } else {
-    gateway = std::make_unique<client::Gateway>(loop, *node, "127.0.0.1",
-                                                /*port=*/0);
-  }
+  client::IngressShards::Options iopt;
+  iopt.shards = loops;
+  client::IngressShards ingress(*node, loop, "127.0.0.1", /*port=*/0, iopt);
 
   obs::Registry registry;
   obs::ExporterSources es;
   es.node = node.get();
   es.env = env.get();
   es.home_loop = &loop;
-  es.shards = shards.get();
-  es.gateway = gateway.get();
+  es.ingress = &ingress;
   es.store = store.get();
   obs::NodeExporter exporter(registry, es);
   loop.set_task_histogram(registry.histogram(

@@ -168,18 +168,5 @@ TEST(MpscQueue, CompletedPushIsAlwaysVisible) {
   EXPECT_FALSE(q.maybe_nonempty());
 }
 
-TEST(MutexMailbox, PushDrainFifo) {
-  MutexMailbox q;
-  std::vector<int> got;
-  for (int i = 0; i < 32; ++i) q.push([&got, i] { got.push_back(i); });
-  EXPECT_TRUE(q.maybe_nonempty());
-  MutexMailbox::Batch batch;
-  q.drain(batch);
-  ASSERT_EQ(batch.size(), 32u);
-  for (auto& t : batch) t();
-  EXPECT_FALSE(q.maybe_nonempty());
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
-}
-
 }  // namespace
 }  // namespace dl::net

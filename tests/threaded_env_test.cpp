@@ -225,7 +225,7 @@ TEST(ThreadedEnv, ShardedGatewayCommitsAcrossConnectionChurn) {
 
   client::IngressShards::Options sopt;
   sopt.shards = 2;
-  client::IngressShards shards(*nodes[0], *envs[0], "127.0.0.1", /*port=*/0,
+  client::IngressShards shards(*nodes[0], loop, "127.0.0.1", /*port=*/0,
                                sopt);
   ASSERT_NE(shards.listen_port(), 0);
   ASSERT_EQ(shards.shard_count(), 2);
