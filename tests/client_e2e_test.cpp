@@ -2,9 +2,9 @@
 // DispersedLedger cluster over real loopback TCP (shared EventLoop, as in
 // net_test.cpp), each replica fronted by a one-shard client::IngressShards
 // (a Gateway + Mempool on that same loop, as dlnoded runs with --loops 1),
-// driven ONLY by dl::client::DlClient submissions — no synthetic workload. Every
-// submitted transaction must be acked, committed exactly once, and observed
-// with monotone commit epochs; replica ledgers must agree.
+// driven ONLY by dl::client::DlClient submissions — no synthetic workload.
+// Every submitted transaction must be acked, committed exactly once, and
+// observed with monotone commit epochs; replica ledgers must agree.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
