@@ -15,10 +15,9 @@
 #include <memory>
 #include <vector>
 
+#include "app/loopback_cluster.hpp"
 #include "bench_util.hpp"
 #include "dl/node.hpp"
-#include "net/event_loop.hpp"
-#include "net/tcp_env.hpp"
 #include "runtime/sim_env.hpp"
 #include "sim/simulator.hpp"
 
@@ -76,42 +75,28 @@ LegResult run_sim_leg(const net::RateSchedule& sched, double duration) {
 // drops every Data frame (mute-but-connected adversary, within f=1).
 LegResult run_real_leg(const net::RateSchedule& sched, double duration,
                        int mute_node) {
-  net::EventLoop loop;
-  net::ClusterConfig cfg;
-  cfg.n = kN;
-  cfg.f = 1;
-  for (int i = 0; i < kN; ++i) cfg.nodes.push_back({i, "127.0.0.1", 0});
+  net::ClusterConfig cfg = app::loopback_config(kN);
   net::LinkShapeRule rule;  // wildcard: shared egress bucket per node,
   rule.schedule = sched;    // mirroring FluidLink's aggregate egress
   rule.delay_ms = 20;
   cfg.links.push_back(rule);
 
-  std::vector<std::unique_ptr<net::TcpEnv>> envs;
-  for (int i = 0; i < kN; ++i) {
-    net::TcpEnv::Options opt;
-    if (i == mute_node) opt.adversary = net::WireAdversary::Mute;
-    envs.push_back(std::make_unique<net::TcpEnv>(loop, cfg, i, opt));
-  }
-  for (auto& env : envs) {
-    for (int j = 0; j < kN; ++j) {
-      env->set_peer_port(j, envs[static_cast<std::size_t>(j)]->listen_port());
-    }
-  }
-  std::vector<std::unique_ptr<core::DlNode>> nodes;
+  app::LoopbackCluster cluster(cfg, [mute_node](int i) {
+    app::ReplicaOptions o;
+    o.node = wan_node(i);
+    o.loops = 0;
+    if (i == mute_node) o.adversary.kind = adversary::RealAdversary::Kind::Mute;
+    return o;
+  });
   LegResult res;
-  for (int i = 0; i < kN; ++i) {
-    nodes.push_back(std::make_unique<core::DlNode>(wan_node(i), *envs[i]));
-    if (i == 0) {
-      nodes[0]->set_delivery_callback([&res](std::uint64_t, core::BlockKey,
-                                             const core::Block& b, double) {
+  cluster[0].set_delivery_hook(
+      [&res](std::uint64_t, core::BlockKey, const core::Block& b, double) {
         res.payload_bytes += b.payload_bytes();
       });
-    }
-    envs[i]->start(*nodes[i]);
-  }
-  loop.after(duration, [&] { loop.stop(); });
-  loop.run();
-  res.epochs = nodes[0]->stats().delivered_epochs;
+  cluster.start();
+  cluster.loop().after(duration, [&] { cluster.loop().stop(); });
+  cluster.loop().run();
+  res.epochs = cluster[0].node().stats().delivered_epochs;
   res.seconds = duration;
   return res;
 }

@@ -1,8 +1,9 @@
 // dlnoded — one DispersedLedger replica as a real process over TCP.
 //
-// Loads a cluster config (see net/cluster_config.hpp), runs a DlNode on a
-// net::TcpEnv, and streams the committed ledger to a file: one line per
-// delivered block,
+// Loads a cluster config (see net/cluster_config.hpp), runs one
+// app::Replica (a DlNode on a net::TcpEnv, plus client ingress, store and
+// observability; see app/replica.hpp), and streams the committed ledger to
+// a file: one line per delivered block,
 //
 //   <delivered-at-epoch> <block-epoch> <proposer> <sha256 of block bytes>
 //
@@ -33,57 +34,55 @@
 // SIGINT/SIGTERM trigger a graceful shutdown — close client connections
 // with a final Goodbye frame, flush the ledger stream, exit 0 — instead of
 // dying mid-write. --max-seconds is a hard watchdog that exits 1.
+//
+// Exit codes: 0 done, 1 watchdog, 2 bad flags/config or unopenable store or
+// ledger, 3 startup failure such as a bind collision (the launcher retries
+// those on a fresh port range), 44 adversary crash.
 #include <sys/epoll.h>
 #include <sys/signalfd.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <memory>
+#include <map>
+#include <optional>
 #include <string>
+#include <type_traits>
 
-#include "adversary/adversary.hpp"
-#include "client/ingress.hpp"
+#include "app/replica.hpp"
 #include "crypto/sha256.hpp"
-#include "dl/block.hpp"
-#include "dl/node.hpp"
-#include "net/tcp_env.hpp"
-#include "obs/admin.hpp"
-#include "obs/exporter.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/registry.hpp"
-#include "runtime/worker_pool.hpp"
-#include "storage/ledger_store.hpp"
 
 namespace {
 
+// The replica's own options come straight from their flags; the rest are
+// process concerns.
+dl::app::ReplicaOptions replica_defaults() {
+  dl::app::ReplicaOptions o;
+  o.id = -1;  // required
+  o.node.propose_delay = 0.020;
+  o.node.propose_size = 32'768;
+  o.node.max_block_bytes = 262'144;
+  return o;
+}
+
 struct Flags {
   std::string config;
-  int id = -1;
+  dl::app::ReplicaOptions replica = replica_defaults();
   std::uint64_t target_epochs = 100;  // 0 = run until signalled
   bool selfdrive = false;
   std::size_t tx_bytes = 256;
   double tx_interval = 0.005;     // seconds
-  double propose_delay = 0.020;   // seconds
-  std::size_t propose_size = 32'768;
-  std::size_t max_block_bytes = 262'144;
   std::string ledger_path;
-  std::string store_dir;          // empty: run in-memory (no durability)
-  std::string fsync = "batch";    // never | batch | always
   double catch_up_interval = -1;  // seconds; <0 = auto (on iff --store)
   double linger = 3.0;
   double max_seconds = 120.0;
   bool quiet = false;
-  int loops = 1;      // client ingress shards (>= 2: own threads)
-  int workers = 0;    // coding worker pool threads (0: inline)
-  int net_loops = 1;  // replica transport loops (>= 2: own threads)
-  std::string adversary;  // deviation spec; empty = honest
-  int admin_port = -1;     // <0 = no admin endpoint; 0 = ephemeral port
   double stats_interval = 0;  // seconds; 0 = no periodic delta line
   std::string flight_path;    // chrome-trace dump at exit; empty = off
 };
@@ -127,71 +126,103 @@ void usage(const char* argv0) {
       "                         chrome-trace JSON to FILE at exit\n"
       "  --linger-seconds S     keep serving after target before exit (default 3)\n"
       "  --max-seconds S        watchdog: exit 1 if not done by then (default 120)\n"
-      "  --quiet                suppress progress output\n",
+      "  --quiet                suppress progress output\n"
+      "numbers are non-negative decimals with no sign or trailing text\n",
       argv0);
 }
 
+// A whole-token, non-negative decimal number: no sign, no leading blank,
+// no trailing garbage, in range; floating-point values must be finite.
+template <typename T>
+bool parse_number(const char* s, T& out) {
+  const char* end = s + std::strlen(s);
+  T v{};
+  const auto [p, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc() || p != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return false;
+  }
+  if constexpr (std::is_signed_v<T>) {
+    if (v < 0) return false;
+  }
+  out = v;
+  return true;
+}
+
+using Setter = std::function<bool(const char*)>;
+Setter text(std::string& out) {
+  return [&out](const char* v) {
+    out = v;
+    return true;
+  };
+}
+template <typename T>
+Setter number(T& out) {
+  return [&out](const char* v) { return parse_number(v, out); };
+}
+// A millisecond flag stored in seconds.
+Setter millis(double& seconds) {
+  return [&seconds](const char* v) {
+    double ms = 0;
+    if (!parse_number(v, ms)) return false;
+    seconds = ms / 1000.0;
+    return true;
+  };
+}
+// A flag read by `parse`, which returns an empty optional on a bad value.
+template <typename T, typename Parse>
+Setter parsed(T& out, Parse parse) {
+  return [&out, parse](const char* v) {
+    auto value = parse(v);
+    if (value.has_value()) out = *value;
+    return value.has_value();
+  };
+}
+
 bool parse_flags(int argc, char** argv, Flags& f) {
+  dl::app::ReplicaOptions& r = f.replica;
+  const std::map<std::string, Setter> valued = {
+      {"--config", text(f.config)},
+      {"--id", number(r.id)},
+      {"--target-epochs", number(f.target_epochs)},
+      {"--tx-bytes", number(f.tx_bytes)},
+      {"--tx-interval-ms", millis(f.tx_interval)},
+      {"--propose-delay-ms", millis(r.node.propose_delay)},
+      {"--propose-size", number(r.node.propose_size)},
+      {"--max-block-bytes", number(r.node.max_block_bytes)},
+      {"--loops", number(r.loops)},
+      {"--workers", number(r.workers)},
+      {"--net-loops", number(r.net_loops)},
+      {"--adversary", parsed(r.adversary, dl::adversary::parse_real_adversary)},
+      {"--admin-port", number(r.admin_port)},
+      {"--stats-interval", number(f.stats_interval)},
+      {"--flight-recorder", text(f.flight_path)},
+      {"--ledger", text(f.ledger_path)},
+      {"--store", text(r.store_dir)},
+      {"--fsync", parsed(r.fsync, dl::storage::parse_fsync_policy)},
+      {"--catchup-ms", millis(f.catch_up_interval)},
+      {"--linger-seconds", number(f.linger)},
+      {"--max-seconds", number(f.max_seconds)},
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (a == "--config" && (v = next())) {
-      f.config = v;
-    } else if (a == "--id" && (v = next())) {
-      f.id = std::atoi(v);
-    } else if (a == "--target-epochs" && (v = next())) {
-      f.target_epochs = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (a == "--selfdrive") {
+    bool ok = true;
+    if (a == "--selfdrive") {
       f.selfdrive = true;
-    } else if (a == "--tx-bytes" && (v = next())) {
-      f.tx_bytes = static_cast<std::size_t>(std::atoll(v));
-    } else if (a == "--tx-interval-ms" && (v = next())) {
-      f.tx_interval = std::atof(v) / 1000.0;
-    } else if (a == "--propose-delay-ms" && (v = next())) {
-      f.propose_delay = std::atof(v) / 1000.0;
-    } else if (a == "--propose-size" && (v = next())) {
-      f.propose_size = static_cast<std::size_t>(std::atoll(v));
-    } else if (a == "--max-block-bytes" && (v = next())) {
-      f.max_block_bytes = static_cast<std::size_t>(std::atoll(v));
-    } else if (a == "--loops" && (v = next())) {
-      f.loops = std::atoi(v);
-    } else if (a == "--workers" && (v = next())) {
-      f.workers = std::atoi(v);
-    } else if (a == "--net-loops" && (v = next())) {
-      f.net_loops = std::atoi(v);
-    } else if (a == "--adversary" && (v = next())) {
-      f.adversary = v;
-    } else if (a == "--admin-port" && (v = next())) {
-      f.admin_port = std::atoi(v);
-    } else if (a == "--stats-interval" && (v = next())) {
-      f.stats_interval = std::atof(v);
-    } else if (a == "--flight-recorder" && (v = next())) {
-      f.flight_path = v;
-    } else if (a == "--ledger" && (v = next())) {
-      f.ledger_path = v;
-    } else if (a == "--store" && (v = next())) {
-      f.store_dir = v;
-    } else if (a == "--fsync" && (v = next())) {
-      f.fsync = v;
-    } else if (a == "--catchup-ms" && (v = next())) {
-      f.catch_up_interval = std::atof(v) / 1000.0;
-    } else if (a == "--linger-seconds" && (v = next())) {
-      f.linger = std::atof(v);
-    } else if (a == "--max-seconds" && (v = next())) {
-      f.max_seconds = std::atof(v);
     } else if (a == "--quiet") {
       f.quiet = true;
+    } else if (auto it = valued.find(a); it != valued.end() && i + 1 < argc) {
+      ok = it->second(argv[++i]);
     } else {
+      ok = false;
+    }
+    if (!ok) {
       usage(argv[0]);
       return false;
     }
   }
-  if (f.config.empty() || f.id < 0 || f.loops < 1 || f.workers < 0 ||
-      f.net_loops < 1 || f.admin_port > 65535 || f.stats_interval < 0 ||
-      !dl::storage::parse_fsync_policy(f.fsync).has_value()) {
+  if (f.config.empty() || r.id < 0 || r.loops < 1 || r.net_loops < 1 ||
+      r.admin_port > 65535) {
     usage(argv[0]);
     return false;
   }
@@ -212,75 +243,38 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "dlnoded: bad config: %s\n", err.c_str());
     return 2;
   }
-  if (flags.id >= cluster->n) {
-    std::fprintf(stderr, "dlnoded: --id %d out of range (n=%d)\n", flags.id,
+  app::ReplicaOptions& ropt = flags.replica;
+  const int id = ropt.id;
+  if (id >= cluster->n) {
+    std::fprintf(stderr, "dlnoded: --id %d out of range (n=%d)\n", id,
                  cluster->n);
     return 2;
-  }
-  adversary::RealAdversary adv;
-  if (!flags.adversary.empty()) {
-    auto parsed = adversary::parse_real_adversary(flags.adversary);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr, "dlnoded: bad --adversary spec \"%s\"\n",
-                   flags.adversary.c_str());
-      return 2;
-    }
-    adv = *parsed;
   }
   // A VID chunk envelope carries at most one block plus small proof/header
   // overhead; anything the transport's frame limit forbids would tear every
   // connection down on each send, so reject the configuration up front.
-  if (flags.max_block_bytes + 65536 > net::kMaxFrameBytes) {
+  if (ropt.node.max_block_bytes + 65536 > net::kMaxFrameBytes) {
     std::fprintf(stderr,
                  "dlnoded: --max-block-bytes %zu too large for the %zu-byte "
                  "frame limit\n",
-                 flags.max_block_bytes, net::kMaxFrameBytes);
+                 ropt.node.max_block_bytes, net::kMaxFrameBytes);
     return 2;
   }
-
-  // Durable store first: what it recovered decides how the text ledger is
-  // opened. Declared before env/node/pool so it is destroyed LAST — the
-  // node holds a raw pointer to it, and the worker pool's destructor runs
-  // still-queued drain closures that dereference it.
-  std::unique_ptr<storage::LedgerStore> store;
-  if (!flags.store_dir.empty()) {
-    storage::StoreOptions sopt;
-    sopt.fsync = *storage::parse_fsync_policy(flags.fsync);
-    store = storage::LedgerStore::open(flags.store_dir, sopt, &err);
-    if (store == nullptr) {
-      std::fprintf(stderr, "dlnoded: cannot open store %s: %s\n",
-                   flags.store_dir.c_str(), err.c_str());
-      return 2;
-    }
-    if (!flags.quiet && store->recovered().delivered_epochs > 0) {
-      const auto& rec = store->recovered();
-      std::fprintf(stderr,
-                   "dlnoded[%d]: recovered %" PRIu64 " epochs / %" PRIu64
-                   " blocks from %s (truncated %" PRIu64 " bytes)\n",
-                   flags.id, rec.delivered_epochs, rec.committed_blocks,
-                   flags.store_dir.c_str(), rec.truncated_bytes);
-    }
+  // Catch-up defaults on only when there is a store to serve it from and to
+  // persist what it pulls.
+  if (flags.catch_up_interval >= 0) {
+    ropt.node.catch_up_interval = flags.catch_up_interval;
+  } else if (!ropt.store_dir.empty()) {
+    ropt.node.catch_up_interval = 0.25;
   }
-
-  // The text ledger is a derived view of the store: with a store the
-  // recovered prefix is rewritten below and live deliveries append after
-  // it; without one, APPEND — the old fopen(path, "w") truncated the
-  // pre-crash prefix on every restart, destroying exactly the history a
-  // restart is supposed to keep.
-  std::FILE* ledger = nullptr;
-  if (!flags.ledger_path.empty()) {
-    ledger =
-        std::fopen(flags.ledger_path.c_str(), store != nullptr ? "w" : "a");
-    if (ledger == nullptr) {
-      std::fprintf(stderr, "dlnoded: cannot open %s\n", flags.ledger_path.c_str());
-      return 2;
-    }
-    // Line-buffered: a kill loses at most the line being formatted, never
-    // leaves half a line in a stdio buffer for the smoke diff to trip on.
-    std::setvbuf(ledger, nullptr, _IOLBF, 1u << 16);
+  // No client_port in the config: no client plane.
+  if (cluster->nodes[static_cast<std::size_t>(id)].client_port == 0) {
+    ropt.loops = 0;
   }
-
-  const net::NodeAddr& me = cluster->nodes[static_cast<std::size_t>(flags.id)];
+  // The exporter + histograms only when some consumer exists; the flight
+  // recorder whenever anyone could ask for it (/tracez or the exit dump).
+  ropt.metrics = flags.stats_interval > 0;
+  ropt.flight_recorder = !flags.flight_path.empty();
 
   // Block SIGINT/SIGTERM/SIGUSR1 before ANY thread exists (worker pool,
   // ingress shards): spawned threads inherit the mask, so a signal can only
@@ -295,142 +289,51 @@ int main(int argc, char** argv) {
   sigprocmask(SIG_BLOCK, &sigmask, nullptr);
 
   net::EventLoop loop;
-  std::unique_ptr<net::TcpEnv> env;
-  std::unique_ptr<core::DlNode> node;
-  // Declared after env/node, so it is destroyed FIRST: the WorkerPool
-  // destructor runs every still-queued job, and those closures capture the
-  // node (disperse work) and the env (completion trampoline) — both must
-  // still be alive. The completions they post land in the loop mailbox
-  // (declared first, destroyed last) and are simply dropped with it.
-  std::unique_ptr<runtime::WorkerPool> pool;
-  std::unique_ptr<client::IngressShards> ingress;  // null without client_port
-  // Observability plane. The registry outlives the admin server and the
-  // exporter; the exporter's sample hook dereferences node/env/store, all of
-  // which are destroyed after these (declared above).
-  obs::Registry registry;
-  std::unique_ptr<obs::FlightRecorder> flight;
-  std::unique_ptr<obs::NodeExporter> exporter;
-  std::unique_ptr<obs::AdminServer> admin;
+  std::optional<app::Replica> replica;
   try {
-    net::TcpEnv::Options eopt;
-    eopt.net_loops = flags.net_loops;
-    if (adv.kind == adversary::RealAdversary::Kind::Mute) {
-      eopt.adversary = net::WireAdversary::Mute;
-    } else if (adv.kind == adversary::RealAdversary::Kind::SlowDrip) {
-      eopt.adversary = net::WireAdversary::SlowDrip;
-      eopt.slow_drip_bytes_per_sec = adv.drip_bytes_per_sec;
-    }
-    env = std::make_unique<net::TcpEnv>(loop, *cluster, flags.id, eopt);
-    if (flags.workers > 0) {
-      pool = std::make_unique<runtime::WorkerPool>(flags.workers);
-      env->set_worker_pool(pool.get());
-    }
-
-    core::NodeConfig cfg =
-        core::NodeConfig::dispersed_ledger(cluster->n, cluster->f, flags.id);
-    cfg.propose_delay = flags.propose_delay;
-    cfg.propose_size = flags.propose_size;
-    cfg.max_block_bytes = flags.max_block_bytes;
-    // Protocol-level deviations (equivocate / v-liar) — the same byz flags
-    // the sim adversary tests exercise, now on a real wire.
-    adversary::apply(adv, cfg);
-    // Catch-up defaults on only when there is a store to serve it from and
-    // to persist what it pulls.
-    if (flags.catch_up_interval >= 0) {
-      cfg.catch_up_interval = flags.catch_up_interval;
-    } else if (store != nullptr) {
-      cfg.catch_up_interval = 0.25;
-    }
-    node = std::make_unique<core::DlNode>(cfg, *env);
-    if (store != nullptr) node->attach_store(store.get());
-
-    if (me.client_port != 0) {
-      client::IngressShards::Options iopt;
-      iopt.shards = flags.loops;
-      // A transaction must fit into a block next to its header.
-      iopt.mempool.max_tx_bytes =
-          std::min(iopt.mempool.max_tx_bytes, flags.max_block_bytes / 2);
-      ingress = std::make_unique<client::IngressShards>(
-          *node, loop, me.host, me.client_port, iopt);
-    }
-
-    // Observability: the flight recorder is live whenever anyone could ask
-    // for it (/tracez or the exit dump); the exporter + histograms only when
-    // some consumer exists (metric mirroring and task timing are skipped
-    // entirely otherwise).
-    if (flags.admin_port >= 0 || !flags.flight_path.empty()) {
-      flight = std::make_unique<obs::FlightRecorder>();
-      node->set_flight_recorder(flight.get());
-    }
-    if (flags.admin_port >= 0 || flags.stats_interval > 0) {
-      obs::ExporterSources es;
-      es.node = node.get();
-      es.env = env.get();
-      es.home_loop = &loop;
-      es.ingress = ingress.get();
-      es.store = store.get();
-      exporter = std::make_unique<obs::NodeExporter>(registry, es);
-      loop.set_task_histogram(registry.histogram(
-          "dl_loop_task_us", "task/timer run latency in microseconds",
-          "loop=\"home\""));
-      if (store != nullptr) {
-        store->set_drain_histogram(registry.histogram(
-            "dl_store_drain_us", "drain_io latency in microseconds"));
-      }
-    }
-    if (flags.admin_port >= 0) {
-      obs::AdminServer::Options aopt;
-      aopt.port = static_cast<std::uint16_t>(flags.admin_port);
-      aopt.pid = flags.id;
-      admin = std::make_unique<obs::AdminServer>(loop, registry, aopt);
-      if (flight != nullptr) admin->set_flight_recorder(flight.get());
-      if (!flags.quiet) {
-        std::fprintf(stderr, "dlnoded[%d]: admin endpoint on 127.0.0.1:%u\n",
-                     flags.id, admin->bound_port());
-      }
-    }
-
-    // Replay the recovered prefix: rewrite the text ledger's derived view
-    // and seed every client-facing committed ring, so a payload that
-    // committed before the crash is answered TxStatus::Committed on
-    // resubmit instead of being committed a second time.
-    if (store != nullptr) {
-      store->for_each_committed([&](const storage::BlockRecord& r) {
-        // Reconstruct the callback's view of the block exactly as
-        // DlNode::decode_or_poison would have produced it live.
-        core::Block block;
-        block.v_array.assign(static_cast<std::size_t>(cluster->n),
-                             core::kInfObservation);
-        if (!r.bad_uploader) {
-          if (auto d = core::Block::decode(r.content, cluster->n);
-              d.has_value()) {
-            block = std::move(*d);
-            if (block.v_array.empty()) {
-              block.v_array.assign(static_cast<std::size_t>(cluster->n), 0);
-            }
-          }
-        }
-        if (ledger != nullptr) {
-          std::fprintf(ledger, "%" PRIu64 " %" PRIu64 " %" PRIu32 " %s\n",
-                       r.at_epoch, r.block_epoch, r.proposer,
-                       sha256(block.encode()).hex().c_str());
-        }
-        if (ingress != nullptr) {
-          for (const core::Transaction& tx : block.txs) {
-            ingress->seed_committed(sha256(tx.payload), r.at_epoch,
-                                    r.proposer);
-          }
-        }
-        return true;
-      });
-    }
+    replica.emplace(loop, *cluster, ropt);
+  } catch (const app::StoreOpenError& e) {
+    std::fprintf(stderr, "dlnoded: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     // Distinct exit code: the launcher retries bind collisions on a fresh
     // port range (see scripts/run_local_cluster.sh).
-    std::fprintf(stderr, "dlnoded[%d]: startup failed: %s\n", flags.id,
-                 e.what());
-    if (ledger != nullptr) std::fclose(ledger);
+    std::fprintf(stderr, "dlnoded[%d]: startup failed: %s\n", id, e.what());
     return 3;
+  }
+  core::DlNode& node = replica->node();
+  net::TcpEnv& env = replica->env();
+  storage::LedgerStore* store = replica->store();
+  client::IngressShards* ingress = replica->ingress();
+  if (!flags.quiet && store != nullptr &&
+      store->recovered().delivered_epochs > 0) {
+    const auto& rec = store->recovered();
+    std::fprintf(stderr,
+                 "dlnoded[%d]: recovered %" PRIu64 " epochs / %" PRIu64
+                 " blocks from %s (truncated %" PRIu64 " bytes)\n",
+                 id, rec.delivered_epochs, rec.committed_blocks,
+                 ropt.store_dir.c_str(), rec.truncated_bytes);
+  }
+  if (!flags.quiet && replica->admin() != nullptr) {
+    std::fprintf(stderr, "dlnoded[%d]: admin endpoint on 127.0.0.1:%u\n",
+                 id, replica->admin()->bound_port());
+  }
+
+  // The text ledger is a derived view of the store: with a store the
+  // recovered prefix is rewritten at start() and live deliveries append
+  // after it; without one, APPEND — truncating would destroy the pre-crash
+  // prefix on every restart, exactly the history a restart must keep.
+  std::FILE* ledger = nullptr;
+  if (!flags.ledger_path.empty()) {
+    ledger =
+        std::fopen(flags.ledger_path.c_str(), store != nullptr ? "w" : "a");
+    if (ledger == nullptr) {
+      std::fprintf(stderr, "dlnoded: cannot open %s\n", flags.ledger_path.c_str());
+      return 2;
+    }
+    // Line-buffered: a kill loses at most the line being formatted, never
+    // leaves half a line in a stdio buffer for the smoke diff to trip on.
+    std::setvbuf(ledger, nullptr, _IOLBF, 1u << 16);
   }
 
   bool done = false;
@@ -444,34 +347,36 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "dlnoded[%d]: %s at t=%.2fs (epochs=%" PRIu64
                    "); lingering %.1fs\n",
-                   flags.id, why, env->now(), node->stats().delivered_epochs,
+                   id, why, env.now(), node.stats().delivered_epochs,
                    flags.linger);
     }
     // Keep answering retrieval requests while slower replicas catch up.
-    env->after(flags.linger, [&loop] { loop.stop(); });
+    env.after(flags.linger, [&loop] { loop.stop(); });
   };
 
-  node->set_delivery_callback([&](std::uint64_t at_epoch, core::BlockKey key,
-                                  const core::Block& block, double now) {
-    if (ledger != nullptr) {
-      std::fprintf(ledger, "%" PRIu64 " %" PRIu64 " %d %s\n", at_epoch,
-                   key.epoch, key.proposer,
-                   sha256(block.encode()).hex().c_str());
-    }
-    if (adv.kind == adversary::RealAdversary::Kind::CrashAtEpoch &&
-        at_epoch >= adv.crash_epoch) {
+  auto ledger_line = [&](std::uint64_t at_epoch, std::uint64_t block_epoch,
+                         std::uint32_t proposer, const core::Block& block) {
+    if (ledger == nullptr) return;
+    std::fprintf(ledger, "%" PRIu64 " %" PRIu64 " %" PRIu32 " %s\n", at_epoch,
+                 block_epoch, proposer, sha256(block.encode()).hex().c_str());
+  };
+  // Runs before the replica notifies its clients, so the ledger line is out
+  // first and crash@E dies without notifying anyone.
+  replica->set_delivery_hook([&](std::uint64_t at_epoch, core::BlockKey key,
+                                 const core::Block& block, double) {
+    ledger_line(at_epoch, key.epoch, static_cast<std::uint32_t>(key.proposer),
+                block);
+    if (ropt.adversary.kind == adversary::RealAdversary::Kind::CrashAtEpoch &&
+        at_epoch >= ropt.adversary.crash_epoch) {
       // Abrupt death, not graceful shutdown: no linger, no Goodbye frames,
       // no store sync — exactly what crash recovery must tolerate. The
       // ledger stream is line-buffered, so completed lines are already out.
       std::fprintf(stderr, "dlnoded[%d]: adversary crash at epoch %" PRIu64 "\n",
-                   flags.id, at_epoch);
+                   id, at_epoch);
       std::_Exit(44);
     }
-    if (ingress != nullptr) {
-      ingress->on_block_delivered(at_epoch, key, block, now);
-    }
     if (flags.target_epochs != 0 &&
-        node->stats().delivered_epochs >= flags.target_epochs) {
+        node.stats().delivered_epochs >= flags.target_epochs) {
       finish("target epochs delivered");
     }
   });
@@ -480,11 +385,11 @@ int main(int argc, char** argv) {
   std::uint64_t tx_seq = 0;
   std::function<void()> submit_tick = [&] {
     if (done) return;
-    node->submit(random_bytes(flags.tx_bytes,
-                              (static_cast<std::uint64_t>(flags.id) << 40) | tx_seq++));
-    env->after(flags.tx_interval, submit_tick);
+    node.submit(random_bytes(flags.tx_bytes,
+                             (static_cast<std::uint64_t>(id) << 40) | tx_seq++));
+    env.after(flags.tx_interval, submit_tick);
   };
-  if (flags.selfdrive) env->after(flags.tx_interval, submit_tick);
+  if (flags.selfdrive) env.after(flags.tx_interval, submit_tick);
 
   // Graceful SIGINT/SIGTERM: flush the ledger, say Goodbye to clients, exit
   // cleanly — never die mid-ledger-line. The signals were blocked before
@@ -495,8 +400,7 @@ int main(int argc, char** argv) {
     // No graceful path — restore default delivery so the process at least
     // stays killable instead of silently swallowing blocked signals.
     sigprocmask(SIG_UNBLOCK, &sigmask, nullptr);
-  }
-  if (sfd >= 0) {
+  } else {
     loop.add_fd(sfd, EPOLLIN, [&](std::uint32_t) {
       bool shutdown_sig = false;
       signalfd_siginfo si;
@@ -505,7 +409,7 @@ int main(int argc, char** argv) {
           // Operator asked for a snapshot: dump the full exposition to
           // stderr and keep running. We are on the home loop, so the
           // registry sample hooks may read home-loop-affine state.
-          std::fprintf(stderr, "%s", registry.prometheus_text().c_str());
+          std::fprintf(stderr, "%s", replica->registry().prometheus_text().c_str());
         } else {
           shutdown_sig = true;
         }
@@ -513,8 +417,7 @@ int main(int argc, char** argv) {
       if (!shutdown_sig || signalled) return;
       signalled = true;
       if (!flags.quiet) {
-        std::fprintf(stderr, "dlnoded[%d]: signal: graceful shutdown\n",
-                     flags.id);
+        std::fprintf(stderr, "dlnoded[%d]: signal: graceful shutdown\n", id);
       }
       if (ingress != nullptr) ingress->shutdown();
       if (ledger != nullptr) std::fflush(ledger);
@@ -524,68 +427,65 @@ int main(int argc, char** argv) {
 
   // Periodic one-line activity delta (epochs, tx/s, submit/admit rates,
   // wire byte rates, fsync rate) — cheap enough to leave on in production.
+  obs::NodeExporter* exporter = replica->exporter();
   std::function<void()> stats_tick = [&] {
-    std::fprintf(stderr, "dlnoded[%d]: %s\n", flags.id,
-                 exporter->delta_line(env->now()).c_str());
-    env->after(flags.stats_interval, stats_tick);
+    std::fprintf(stderr, "dlnoded[%d]: %s\n", id,
+                 exporter->delta_line(env.now()).c_str());
+    env.after(flags.stats_interval, stats_tick);
   };
-  if (flags.stats_interval > 0 && exporter != nullptr) {
+  if (flags.stats_interval > 0) {
     // Seed the delta base now so the first printed line covers one interval.
-    exporter->delta_line(env->now());
-    env->after(flags.stats_interval, stats_tick);
+    exporter->delta_line(env.now());
+    env.after(flags.stats_interval, stats_tick);
   }
 
   // Watchdog.
-  env->after(flags.max_seconds, [&] {
+  env.after(flags.max_seconds, [&] {
     if (!done && !signalled) {
       timed_out = true;
       std::fprintf(stderr,
                    "dlnoded[%d]: TIMEOUT after %.0fs: delivered_epochs=%" PRIu64
                    " (target %" PRIu64 "), connected_peers=%d\n",
-                   flags.id, flags.max_seconds, node->stats().delivered_epochs,
-                   flags.target_epochs, env->connected_peers());
+                   id, flags.max_seconds, node.stats().delivered_epochs,
+                   flags.target_epochs, env.connected_peers());
       loop.stop();
     }
   });
 
-  env->start(*node);
-  if (ingress != nullptr) ingress->start();
+  // Replay the recovered prefix into the text ledger's derived view.
+  replica->start([&](const storage::BlockRecord& r, const core::Block& block) {
+    ledger_line(r.at_epoch, r.block_epoch, r.proposer, block);
+  });
   loop.run();
 
-  // Teardown order: ingress first (shard threads join; no new submissions
-  // or commit fan-outs), then — by reverse declaration order — the worker
-  // pool (its destructor drains pending jobs while node/env/loop are all
-  // still alive), then the node and env with the loop stopped.
-  if (ingress != nullptr) ingress->shutdown();
+  // Goodbye to clients and durable store before the exit summary.
+  replica->stop();
   if (sfd >= 0) {
     loop.del_fd(sfd);
     close(sfd);
   }
-  // Final durability point: everything delivered is on disk before the
-  // process reports success (the store destructor would also sync, but by
-  // then the stats below have already been printed).
-  if (store != nullptr) store->sync();
   if (ledger != nullptr) std::fclose(ledger);
+  obs::FlightRecorder* flight = replica->flight_recorder();
   if (flight != nullptr && !flags.flight_path.empty()) {
-    if (!flight->dump_to_file(flags.flight_path, flags.id)) {
+    if (!flight->dump_to_file(flags.flight_path, id)) {
       std::fprintf(stderr, "dlnoded[%d]: cannot write flight recorder to %s\n",
-                   flags.id, flags.flight_path.c_str());
+                   id, flags.flight_path.c_str());
     } else if (!flags.quiet) {
       std::fprintf(stderr,
                    "dlnoded[%d]: flight recorder: %" PRIu64 " events (%" PRIu64
                    " dropped) -> %s\n",
-                   flags.id, flight->total_recorded(), flight->dropped(),
+                   id, flight->total_recorded(), flight->dropped(),
                    flags.flight_path.c_str());
     }
   }
-  const auto& st = node->stats();
+  const auto& st = node.stats();
   if (!flags.quiet) {
     std::fprintf(stderr,
                  "dlnoded[%d]: exit: epochs=%" PRIu64 " blocks=%" PRIu64
                  " payload_bytes=%" PRIu64 " fingerprint=%s\n",
-                 flags.id, st.delivered_epochs, st.delivered_blocks,
+                 id, st.delivered_epochs, st.delivered_blocks,
                  st.delivered_payload_bytes,
-                 node->delivery_fingerprint().hex().substr(0, 16).c_str());
+                 node.delivery_fingerprint().hex().substr(0, 16).c_str());
     if (store != nullptr) {
       const auto ss = store->stats();
       std::fprintf(stderr,
@@ -593,7 +493,7 @@ int main(int argc, char** argv) {
                    " caught_up=%" PRIu64 " records=%" PRIu64
                    " bytes=%" PRIu64 " drains=%" PRIu64 " fsyncs=%" PRIu64
                    " segments=%zu\n",
-                   flags.id, storage::to_string(store->fsync_policy()),
+                   id, storage::to_string(store->fsync_policy()),
                    st.recovered_epochs, st.caught_up_epochs,
                    ss.appended_records, ss.appended_bytes, ss.drains,
                    ss.fsyncs, store->segment_count());
@@ -605,7 +505,7 @@ int main(int argc, char** argv) {
                    "dlnoded[%d]: ingress: loops=%d submits=%" PRIu64
                    " admitted=%" PRIu64 " committed=%" PRIu64
                    " dup=%" PRIu64 " full=%" PRIu64 " notified=%" PRIu64 "\n",
-                   flags.id, ingress->shard_count(),
+                   id, ingress->shard_count(),
                    gs.submits.load(), ms.admitted.load(), ms.committed.load(),
                    ms.dropped_duplicate.load(), ms.dropped_full.load(),
                    gs.commits_notified.load());

@@ -42,6 +42,19 @@ std::optional<Block> Block::decode(ByteView in, int expected_n) {
   return b;
 }
 
+Block Block::decode_delivered(const Bytes* content, int n) {
+  const auto width = static_cast<std::size_t>(n);
+  if (content != nullptr) {
+    if (auto block = decode(*content, n); block.has_value()) {
+      if (block->v_array.empty()) block->v_array.assign(width, 0);
+      return std::move(*block);
+    }
+  }
+  Block poison;
+  poison.v_array.assign(width, kInfObservation);
+  return poison;
+}
+
 std::uint64_t Block::payload_bytes() const {
   std::uint64_t sum = 0;
   for (const Transaction& tx : txs) sum += tx.payload.size();

@@ -8,7 +8,7 @@
 //
 // Decoding is total; a block that fails to decode — including the AVID-M
 // BAD_UPLOADER sentinel — is treated per the paper as ill-formatted and its
-// observation replaced with [infinity, ...] by the caller.
+// observation replaced with [infinity, ...] (Block::decode_delivered).
 #pragma once
 
 #include <cstdint>
@@ -37,6 +37,11 @@ struct Block {
 
   Bytes encode() const;
   static std::optional<Block> decode(ByteView in, int expected_n);
+  // The view of a delivered block that every consumer sees: live delivery,
+  // catch-up install and store replay. Null `content` is BAD_UPLOADER. A
+  // BAD_UPLOADER or undecodable block is an empty block observing infinity
+  // for every node; a block without observations claims nothing (zeros).
+  static Block decode_delivered(const Bytes* content, int n);
 
   // Total bytes of transaction payloads (the "useful" throughput).
   std::uint64_t payload_bytes() const;

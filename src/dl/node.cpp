@@ -598,19 +598,6 @@ void DlNode::on_block_available(BlockKey key) {
   try_deliver();
 }
 
-Block DlNode::decode_or_poison(BlockKey key) const {
-  Block poison;
-  poison.v_array.assign(static_cast<std::size_t>(cfg_.n), kInfObservation);
-  if (!retrievals_.has(key) || retrievals_.is_bad(key)) return poison;
-  auto block = Block::decode(retrievals_.get(key), cfg_.n);
-  if (!block.has_value()) return poison;
-  if (block->v_array.empty()) {
-    // Blocks without observations claim nothing.
-    block->v_array.assign(static_cast<std::size_t>(cfg_.n), 0);
-  }
-  return std::move(*block);
-}
-
 void DlNode::try_deliver() {
   bool delivered_any = false;
   while (true) {
@@ -636,7 +623,8 @@ void DlNode::try_deliver() {
       std::vector<std::vector<std::uint64_t>> v_arrays;
       v_arrays.reserve(st.commit_set().size());
       for (int k : st.commit_set()) {
-        v_arrays.push_back(decode_or_poison(BlockKey{e, k}).v_array);
+        const Bytes* content = retrievals_.content(BlockKey{e, k});
+        v_arrays.push_back(Block::decode_delivered(content, cfg_.n).v_array);
       }
       std::vector<std::uint64_t> column(v_arrays.size());
       for (int j = 0; j < cfg_.n; ++j) {
@@ -704,7 +692,8 @@ void DlNode::try_deliver() {
 }
 
 void DlNode::deliver_block(std::uint64_t at_epoch, BlockKey key) {
-  const Block block = decode_or_poison(key);
+  const Block block =
+      Block::decode_delivered(retrievals_.content(key), cfg_.n);
   delivered_.insert(key);
 
   ++stats_.delivered_blocks;
@@ -765,13 +754,11 @@ void DlNode::recover_from_store() {
 
     ++stats_.delivered_blocks;
     if (r.block_epoch != r.at_epoch) ++stats_.delivered_linked_blocks;
-    if (r.bad_uploader) {
-      ++stats_.bad_uploader_blocks;
-    } else if (auto block = Block::decode(r.content, cfg_.n);
-               block.has_value()) {
-      stats_.delivered_payload_bytes += block->payload_bytes();
-      stats_.delivered_tx_count += block->txs.size();
-    }
+    if (r.bad_uploader) ++stats_.bad_uploader_blocks;
+    const Block block =
+        Block::decode_delivered(r.bad_uploader ? nullptr : &r.content, cfg_.n);
+    stats_.delivered_payload_bytes += block.payload_bytes();
+    stats_.delivered_tx_count += block.txs.size();
     return true;
   });
   stats_.delivered_epochs = deliver_next_;
@@ -1097,17 +1084,7 @@ void DlNode::install_catch_up_block(std::uint64_t at_epoch, BlockKey key,
   if (key.epoch != at_epoch) ++stats_.delivered_linked_blocks;
   if (bad) ++stats_.bad_uploader_blocks;
 
-  // Decode exactly as decode_or_poison would for live delivery.
-  Block block;
-  block.v_array.assign(static_cast<std::size_t>(cfg_.n), kInfObservation);
-  if (!bad) {
-    if (auto decoded = Block::decode(content, cfg_.n); decoded.has_value()) {
-      block = std::move(*decoded);
-      if (block.v_array.empty()) {
-        block.v_array.assign(static_cast<std::size_t>(cfg_.n), 0);
-      }
-    }
-  }
+  const Block block = Block::decode_delivered(bad ? nullptr : &content, cfg_.n);
   stats_.delivered_payload_bytes += block.payload_bytes();
   stats_.delivered_tx_count += block.txs.size();
   stats_.input_queue_bytes = input_queue_bytes_.load(std::memory_order_relaxed);

@@ -191,7 +191,8 @@ class DlNode : public runtime::Receiver {
   // so the node resumes BA from its first uncommitted epoch, and hooks
   // delivery so every block/epoch is persisted from here on. The store must
   // outlive the node. Recovery does NOT refire the delivery callback —
-  // consumers that need the replayed prefix read the store directly.
+  // consumers that need the replayed prefix read the store directly
+  // (app::Replica::start walks it for them).
   void attach_store(storage::LedgerStore* store);
   storage::LedgerStore* store() const { return store_; }
 
@@ -235,7 +236,6 @@ class DlNode : public runtime::Receiver {
   void on_block_available(BlockKey key);
   void try_deliver();
   void deliver_block(std::uint64_t at_epoch, BlockKey key);
-  Block decode_or_poison(BlockKey key) const;
 
   // Durability + catch-up.
   void recover_from_store();

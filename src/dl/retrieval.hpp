@@ -68,6 +68,11 @@ class RetrievalManager {
   const Bytes& get(BlockKey key) const { return content_.at(key); }
   // The retrieval ended with the BAD_UPLOADER sentinel.
   bool is_bad(BlockKey key) const { return bad_.contains(key); }
+  // The block's bytes, or null while missing or BAD_UPLOADER (the input
+  // Block::decode_delivered expects).
+  const Bytes* content(BlockKey key) const {
+    return has(key) && !is_bad(key) ? &get(key) : nullptr;
+  }
 
   // Begins a retrieval if not already started/available. The RequestChunk
   // broadcast is appended to `out` (envelope ids filled by the caller).

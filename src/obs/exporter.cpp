@@ -31,100 +31,94 @@ void NodeExporter::add_loop(Registry& reg, const std::string& label,
   loops_.push_back(s);
 }
 
-NodeExporter::NodeExporter(Registry& reg, ExporterSources src) : src_(src) {
-  if (src_.node != nullptr) {
-    n_ = src_.node->config().n;
-    g_epoch_frontier_ = reg.gauge("dl_node_epoch_frontier",
-                                  "epochs fully delivered (deliver_next)");
-    g_dispersal_epoch_ = reg.gauge("dl_node_dispersal_epoch",
-                                   "current dispersal (propose) epoch");
-    c_delivered_blocks_ =
-        reg.counter("dl_node_delivered_blocks_total", "blocks delivered");
-    c_delivered_tx_ = reg.counter("dl_node_delivered_tx_total",
-                                  "transactions in delivered blocks");
-    c_delivered_bytes_ = reg.counter("dl_node_delivered_bytes_total",
-                                     "payload bytes in delivered blocks");
-    c_delivered_linked_ = reg.counter("dl_node_delivered_linked_total",
-                                      "blocks delivered via inter-node links");
-    c_proposed_ =
-        reg.counter("dl_node_proposed_blocks_total", "own blocks proposed");
-    c_proposed_empty_ = reg.counter("dl_node_proposed_empty_total",
-                                    "empty blocks proposed (back-pressure)");
-    c_own_dropped_ = reg.counter("dl_node_own_blocks_dropped_total",
-                                 "own blocks not BA-committed");
-    c_bad_uploader_ = reg.counter("dl_node_bad_uploader_blocks_total",
-                                  "blocks resolved as BAD_UPLOADER");
-    c_vid_chunks_sent_ =
-        reg.counter("dl_node_vid_chunks_sent_total", "VID chunks sent");
-    c_vid_chunks_recv_ = reg.counter("dl_node_vid_chunks_received_total",
-                                     "VID chunks received");
-    c_return_chunks_sent_ = reg.counter("dl_node_return_chunks_sent_total",
-                                        "retrieval chunks served to peers");
-    c_return_chunks_recv_ = reg.counter(
-        "dl_node_return_chunks_received_total", "retrieval chunks received");
-    c_ba_sent_ =
-        reg.counter("dl_node_ba_msgs_sent_total", "BA protocol messages sent");
-    c_ba_recv_ = reg.counter("dl_node_ba_msgs_received_total",
-                             "BA protocol messages received");
-    c_ba_decisions_ = reg.counter("dl_node_ba_decisions_total",
-                                  "BA instances decided locally");
-    c_recovered_epochs_ = reg.counter("dl_node_recovered_epochs_total",
-                                      "epochs replayed from the local store");
-    c_caught_up_epochs_ = reg.counter("dl_node_caught_up_epochs_total",
-                                      "epochs installed via coded catch-up");
-    c_catch_up_rounds_ =
-        reg.counter("dl_node_catch_up_rounds_total", "catch-up pull rounds");
-    c_catch_up_msgs_ = reg.counter("dl_node_catch_up_msgs_received_total",
-                                   "catch-up protocol messages received");
-    g_input_queue_bytes_ = reg.gauge(
-        "dl_node_input_queue_bytes",
-        "submitted-but-not-proposed transaction backlog (wire bytes)");
-    g_resident_epochs_ = reg.gauge("dl_node_resident_epochs",
-                                   "epochs whose protocol state is still held");
-    g_retained_chunk_bytes_ = reg.gauge(
-        "dl_node_retained_chunk_bytes",
-        "VID chunk bytes held for peers that have not fetched them");
-  }
+NodeExporter::NodeExporter(Registry& reg, ExporterSources src)
+    : src_(src), n_(src.node.config().n) {
+  g_epoch_frontier_ = reg.gauge("dl_node_epoch_frontier",
+                                "epochs fully delivered (deliver_next)");
+  g_dispersal_epoch_ = reg.gauge("dl_node_dispersal_epoch",
+                                 "current dispersal (propose) epoch");
+  c_delivered_blocks_ =
+      reg.counter("dl_node_delivered_blocks_total", "blocks delivered");
+  c_delivered_tx_ = reg.counter("dl_node_delivered_tx_total",
+                                "transactions in delivered blocks");
+  c_delivered_bytes_ = reg.counter("dl_node_delivered_bytes_total",
+                                   "payload bytes in delivered blocks");
+  c_delivered_linked_ = reg.counter("dl_node_delivered_linked_total",
+                                    "blocks delivered via inter-node links");
+  c_proposed_ =
+      reg.counter("dl_node_proposed_blocks_total", "own blocks proposed");
+  c_proposed_empty_ = reg.counter("dl_node_proposed_empty_total",
+                                  "empty blocks proposed (back-pressure)");
+  c_own_dropped_ = reg.counter("dl_node_own_blocks_dropped_total",
+                               "own blocks not BA-committed");
+  c_bad_uploader_ = reg.counter("dl_node_bad_uploader_blocks_total",
+                                "blocks resolved as BAD_UPLOADER");
+  c_vid_chunks_sent_ =
+      reg.counter("dl_node_vid_chunks_sent_total", "VID chunks sent");
+  c_vid_chunks_recv_ = reg.counter("dl_node_vid_chunks_received_total",
+                                   "VID chunks received");
+  c_return_chunks_sent_ = reg.counter("dl_node_return_chunks_sent_total",
+                                      "retrieval chunks served to peers");
+  c_return_chunks_recv_ = reg.counter(
+      "dl_node_return_chunks_received_total", "retrieval chunks received");
+  c_ba_sent_ =
+      reg.counter("dl_node_ba_msgs_sent_total", "BA protocol messages sent");
+  c_ba_recv_ = reg.counter("dl_node_ba_msgs_received_total",
+                           "BA protocol messages received");
+  c_ba_decisions_ = reg.counter("dl_node_ba_decisions_total",
+                                "BA instances decided locally");
+  c_recovered_epochs_ = reg.counter("dl_node_recovered_epochs_total",
+                                    "epochs replayed from the local store");
+  c_caught_up_epochs_ = reg.counter("dl_node_caught_up_epochs_total",
+                                    "epochs installed via coded catch-up");
+  c_catch_up_rounds_ =
+      reg.counter("dl_node_catch_up_rounds_total", "catch-up pull rounds");
+  c_catch_up_msgs_ = reg.counter("dl_node_catch_up_msgs_received_total",
+                                 "catch-up protocol messages received");
+  g_input_queue_bytes_ = reg.gauge(
+      "dl_node_input_queue_bytes",
+      "submitted-but-not-proposed transaction backlog (wire bytes)");
+  g_resident_epochs_ = reg.gauge("dl_node_resident_epochs",
+                                 "epochs whose protocol state is still held");
+  g_retained_chunk_bytes_ = reg.gauge(
+      "dl_node_retained_chunk_bytes",
+      "VID chunk bytes held for peers that have not fetched them");
 
-  if (src_.env != nullptr && src_.node != nullptr) {
-    peers_.resize(static_cast<std::size_t>(n_));
-    const int self = src_.node->config().self;
-    for (int id = 0; id < n_; ++id) {
-      if (id == self) continue;
-      const std::string l = "peer=\"" + std::to_string(id) + "\"";
-      PeerSeries& p = peers_[static_cast<std::size_t>(id)];
-      p.connected = reg.gauge("dl_peer_connected", "1 while connected", l);
-      p.queued_bytes =
-          reg.gauge("dl_peer_queued_bytes", "outbound write-queue bytes", l);
-      p.sent_bytes =
-          reg.counter("dl_peer_sent_bytes_total", "frame bytes sent", l);
-      p.recv_bytes =
-          reg.counter("dl_peer_recv_bytes_total", "frame bytes received", l);
-      p.sent_frames = reg.counter("dl_peer_sent_frames_total", "frames sent", l);
-      p.recv_frames =
-          reg.counter("dl_peer_recv_frames_total", "frames received", l);
-      p.dropped_bytes = reg.counter("dl_peer_dropped_bytes_total",
-                                    "bytes rejected by the queue cap", l);
-      p.reconnects = reg.counter("dl_peer_reconnects_total",
-                                 "connection re-establishments", l);
-      p.shaper_waits = reg.counter("dl_peer_shaper_waits_total",
-                                   "drain pauses waiting on the bucket", l);
-    }
-    c_shaper_granted_ = reg.counter("dl_shaper_granted_bytes_total",
-                                    "bytes granted through egress buckets");
-    c_shaper_lost_frames_ = reg.counter("dl_shaper_lost_frames_total",
-                                        "frames dropped by the loss process");
-    c_shaper_lost_bytes_ = reg.counter("dl_shaper_lost_bytes_total",
-                                       "bytes dropped by the loss process");
-    c_shaper_throttles_ = reg.counter("dl_shaper_throttle_waits_total",
-                                      "take() calls that returned 0");
+  peers_.resize(static_cast<std::size_t>(n_));
+  const int self = src_.node.config().self;
+  for (int id = 0; id < n_; ++id) {
+    if (id == self) continue;
+    const std::string l = "peer=\"" + std::to_string(id) + "\"";
+    PeerSeries& p = peers_[static_cast<std::size_t>(id)];
+    p.connected = reg.gauge("dl_peer_connected", "1 while connected", l);
+    p.queued_bytes =
+        reg.gauge("dl_peer_queued_bytes", "outbound write-queue bytes", l);
+    p.sent_bytes =
+        reg.counter("dl_peer_sent_bytes_total", "frame bytes sent", l);
+    p.recv_bytes =
+        reg.counter("dl_peer_recv_bytes_total", "frame bytes received", l);
+    p.sent_frames = reg.counter("dl_peer_sent_frames_total", "frames sent", l);
+    p.recv_frames =
+        reg.counter("dl_peer_recv_frames_total", "frames received", l);
+    p.dropped_bytes = reg.counter("dl_peer_dropped_bytes_total",
+                                  "bytes rejected by the queue cap", l);
+    p.reconnects = reg.counter("dl_peer_reconnects_total",
+                               "connection re-establishments", l);
+    p.shaper_waits = reg.counter("dl_peer_shaper_waits_total",
+                                 "drain pauses waiting on the bucket", l);
   }
+  c_shaper_granted_ = reg.counter("dl_shaper_granted_bytes_total",
+                                  "bytes granted through egress buckets");
+  c_shaper_lost_frames_ = reg.counter("dl_shaper_lost_frames_total",
+                                      "frames dropped by the loss process");
+  c_shaper_lost_bytes_ = reg.counter("dl_shaper_lost_bytes_total",
+                                     "bytes dropped by the loss process");
+  c_shaper_throttles_ = reg.counter("dl_shaper_throttle_waits_total",
+                                    "take() calls that returned 0");
 
-  if (src_.home_loop != nullptr) add_loop(reg, "home", src_.home_loop);
-  if (src_.env != nullptr) {
-    for (int i = 0; i < src_.env->transport_loop_count(); ++i) {
-      add_loop(reg, "net" + std::to_string(i), &src_.env->transport_loop(i));
-    }
+  add_loop(reg, "home", &src_.home_loop);
+  for (int i = 0; i < src_.env.transport_loop_count(); ++i) {
+    add_loop(reg, "net" + std::to_string(i), &src_.env.transport_loop(i));
   }
   if (src_.ingress != nullptr) {
     // Only shards with their own loop: a lone shard runs on the home loop.
@@ -190,58 +184,54 @@ NodeExporter::NodeExporter(Registry& reg, ExporterSources src) : src_(src) {
 }
 
 void NodeExporter::refresh() {
-  if (src_.node != nullptr) {
-    const core::NodeStats& s = src_.node->stats();
-    g_epoch_frontier_->set(static_cast<std::int64_t>(s.delivered_epochs));
-    g_dispersal_epoch_->set(
-        static_cast<std::int64_t>(s.current_dispersal_epoch));
-    c_delivered_blocks_->set(s.delivered_blocks);
-    c_delivered_tx_->set(s.delivered_tx_count);
-    c_delivered_bytes_->set(s.delivered_payload_bytes);
-    c_delivered_linked_->set(s.delivered_linked_blocks);
-    c_proposed_->set(s.proposed_blocks);
-    c_proposed_empty_->set(s.proposed_empty_blocks);
-    c_own_dropped_->set(s.own_blocks_dropped);
-    c_bad_uploader_->set(s.bad_uploader_blocks);
-    c_vid_chunks_sent_->set(s.vid_chunks_sent);
-    c_vid_chunks_recv_->set(s.vid_chunks_received);
-    c_return_chunks_sent_->set(s.return_chunks_sent);
-    c_return_chunks_recv_->set(s.return_chunks_received);
-    c_ba_sent_->set(s.ba_msgs_sent);
-    c_ba_recv_->set(s.ba_msgs_received);
-    c_ba_decisions_->set(s.ba_decisions);
-    c_recovered_epochs_->set(s.recovered_epochs);
-    c_caught_up_epochs_->set(s.caught_up_epochs);
-    c_catch_up_rounds_->set(s.catch_up_rounds);
-    c_catch_up_msgs_->set(s.catch_up_msgs_received);
-    g_input_queue_bytes_->set(
-        static_cast<std::int64_t>(src_.node->input_queue_bytes()));
-    g_resident_epochs_->set(static_cast<std::int64_t>(s.resident_epochs));
-    g_retained_chunk_bytes_->set(
-        static_cast<std::int64_t>(s.retained_chunk_bytes));
-  }
+  const core::NodeStats& s = src_.node.stats();
+  g_epoch_frontier_->set(static_cast<std::int64_t>(s.delivered_epochs));
+  g_dispersal_epoch_->set(
+      static_cast<std::int64_t>(s.current_dispersal_epoch));
+  c_delivered_blocks_->set(s.delivered_blocks);
+  c_delivered_tx_->set(s.delivered_tx_count);
+  c_delivered_bytes_->set(s.delivered_payload_bytes);
+  c_delivered_linked_->set(s.delivered_linked_blocks);
+  c_proposed_->set(s.proposed_blocks);
+  c_proposed_empty_->set(s.proposed_empty_blocks);
+  c_own_dropped_->set(s.own_blocks_dropped);
+  c_bad_uploader_->set(s.bad_uploader_blocks);
+  c_vid_chunks_sent_->set(s.vid_chunks_sent);
+  c_vid_chunks_recv_->set(s.vid_chunks_received);
+  c_return_chunks_sent_->set(s.return_chunks_sent);
+  c_return_chunks_recv_->set(s.return_chunks_received);
+  c_ba_sent_->set(s.ba_msgs_sent);
+  c_ba_recv_->set(s.ba_msgs_received);
+  c_ba_decisions_->set(s.ba_decisions);
+  c_recovered_epochs_->set(s.recovered_epochs);
+  c_caught_up_epochs_->set(s.caught_up_epochs);
+  c_catch_up_rounds_->set(s.catch_up_rounds);
+  c_catch_up_msgs_->set(s.catch_up_msgs_received);
+  g_input_queue_bytes_->set(
+      static_cast<std::int64_t>(src_.node.input_queue_bytes()));
+  g_resident_epochs_->set(static_cast<std::int64_t>(s.resident_epochs));
+  g_retained_chunk_bytes_->set(
+      static_cast<std::int64_t>(s.retained_chunk_bytes));
 
-  if (src_.env != nullptr && !peers_.empty()) {
-    for (int id = 0; id < n_; ++id) {
-      PeerSeries& p = peers_[static_cast<std::size_t>(id)];
-      if (p.sent_bytes == nullptr) continue;  // self
-      const net::TcpEnv::PeerStats st = src_.env->peer_stats(id);
-      p.connected->set(st.connected ? 1 : 0);
-      p.queued_bytes->set(static_cast<std::int64_t>(st.queued_bytes));
-      p.sent_bytes->set(st.sent_bytes);
-      p.recv_bytes->set(st.recv_bytes);
-      p.sent_frames->set(st.sent_frames);
-      p.recv_frames->set(st.recv_frames);
-      p.dropped_bytes->set(st.dropped_bytes);
-      p.reconnects->set(st.reconnects);
-      p.shaper_waits->set(st.shaper_waits);
-    }
-    const net::LinkShaper::Stats sh = src_.env->shaper_totals();
-    c_shaper_granted_->set(sh.shaped_bytes);
-    c_shaper_lost_frames_->set(sh.lost_frames);
-    c_shaper_lost_bytes_->set(sh.lost_bytes);
-    c_shaper_throttles_->set(sh.throttle_waits);
+  for (int id = 0; id < n_; ++id) {
+    PeerSeries& p = peers_[static_cast<std::size_t>(id)];
+    if (p.sent_bytes == nullptr) continue;  // self
+    const net::TcpEnv::PeerStats st = src_.env.peer_stats(id);
+    p.connected->set(st.connected ? 1 : 0);
+    p.queued_bytes->set(static_cast<std::int64_t>(st.queued_bytes));
+    p.sent_bytes->set(st.sent_bytes);
+    p.recv_bytes->set(st.recv_bytes);
+    p.sent_frames->set(st.sent_frames);
+    p.recv_frames->set(st.recv_frames);
+    p.dropped_bytes->set(st.dropped_bytes);
+    p.reconnects->set(st.reconnects);
+    p.shaper_waits->set(st.shaper_waits);
   }
+  const net::LinkShaper::Stats sh = src_.env.shaper_totals();
+  c_shaper_granted_->set(sh.shaped_bytes);
+  c_shaper_lost_frames_->set(sh.lost_frames);
+  c_shaper_lost_bytes_->set(sh.lost_bytes);
+  c_shaper_throttles_->set(sh.throttle_waits);
 
   for (LoopSeries& l : loops_) {
     const auto& st = l.loop->stats();
@@ -292,11 +282,9 @@ void NodeExporter::refresh() {
 std::string NodeExporter::delta_line(double now) {
   DeltaBase cur;
   cur.t = now;
-  if (src_.node != nullptr) {
-    const core::NodeStats& s = src_.node->stats();
-    cur.delivered_epochs = s.delivered_epochs;
-    cur.delivered_tx = s.delivered_tx_count;
-  }
+  const core::NodeStats& s = src_.node.stats();
+  cur.delivered_epochs = s.delivered_epochs;
+  cur.delivered_tx = s.delivered_tx_count;
   if (src_.ingress != nullptr) {
     const client::Gateway::Stats gs = src_.ingress->aggregate_stats();
     cur.submits = gs.submits;
@@ -305,12 +293,10 @@ std::string NodeExporter::delta_line(double now) {
     cur.drops = static_cast<std::uint64_t>(ms.dropped_duplicate) +
                 ms.dropped_full + ms.dropped_oversize;
   }
-  if (src_.env != nullptr) {
-    for (int id = 0; id < n_; ++id) {
-      const net::TcpEnv::PeerStats st = src_.env->peer_stats(id);
-      cur.sent_bytes += st.sent_bytes;
-      cur.recv_bytes += st.recv_bytes;
-    }
+  for (int id = 0; id < n_; ++id) {
+    const net::TcpEnv::PeerStats st = src_.env.peer_stats(id);
+    cur.sent_bytes += st.sent_bytes;
+    cur.recv_bytes += st.recv_bytes;
   }
   if (src_.store != nullptr) {
     cur.fsyncs = src_.store->stats().fsyncs;
@@ -323,19 +309,15 @@ std::string NodeExporter::delta_line(double now) {
 
   StatLine line;
   line.f("t", now);
-  if (src_.node != nullptr) {
-    line.kv("epochs", cur.delivered_epochs)
-        .rate("tx", cur.delivered_tx - prev.delivered_tx, dt);
-  }
+  line.kv("epochs", cur.delivered_epochs)
+      .rate("tx", cur.delivered_tx - prev.delivered_tx, dt);
   if (src_.ingress != nullptr) {
     line.rate("submits", cur.submits - prev.submits, dt)
         .rate("admits", cur.admitted - prev.admitted, dt)
         .kv("drops", cur.drops);
   }
-  if (src_.env != nullptr) {
-    line.rate("out", cur.sent_bytes - prev.sent_bytes, dt)
-        .rate("in", cur.recv_bytes - prev.recv_bytes, dt);
-  }
+  line.rate("out", cur.sent_bytes - prev.sent_bytes, dt)
+      .rate("in", cur.recv_bytes - prev.recv_bytes, dt);
   if (src_.store != nullptr) {
     line.rate("fsyncs", cur.fsyncs - prev.fsyncs, dt);
   }

@@ -45,19 +45,19 @@ class LedgerStore;
 namespace dl::obs {
 
 struct ExporterSources {
-  core::DlNode* node = nullptr;
-  net::TcpEnv* env = nullptr;
-  const net::EventLoop* home_loop = nullptr;
-  client::IngressShards* ingress = nullptr;  // null without a client_port
+  core::DlNode& node;
+  net::TcpEnv& env;
+  const net::EventLoop& home_loop;
+  client::IngressShards* ingress = nullptr;  // null without a client plane
   storage::LedgerStore* store = nullptr;    // null without --store
 };
 
 class NodeExporter {
  public:
   // Registers all instruments on `reg` and installs the mirroring sample
-  // hook. Null source entries simply skip their metric group. `reg` and all
-  // sources must outlive the exporter (and the registry must not snapshot
-  // after a source dies — in dlnoded everything tears down together).
+  // hook. A null ingress or store skips its metric group. `reg` and all
+  // sources must outlive the exporter, and the registry must not snapshot
+  // after a source dies: app::Replica owns them all and fixes that order.
   NodeExporter(Registry& reg, ExporterSources src);
 
   // Mirrors every source into the registry instruments. Called by the

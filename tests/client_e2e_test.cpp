@@ -1,8 +1,8 @@
 // The client ingress plane, end to end and fully in-process: a 4-replica
-// DispersedLedger cluster over real loopback TCP (shared EventLoop, as in
-// net_test.cpp), each replica fronted by a one-shard client::IngressShards
-// (a Gateway + Mempool on that same loop, as dlnoded runs with --loops 1),
-// driven ONLY by dl::client::DlClient submissions — no synthetic workload.
+// app::LoopbackCluster over real loopback TCP, each replica fronted by a
+// one-shard client::IngressShards (a Gateway + Mempool on the shared loop,
+// as dlnoded runs with --loops 1), driven ONLY by dl::client::DlClient
+// submissions — no synthetic workload.
 // Every submitted transaction must be acked, committed exactly once, and
 // observed with monotone commit epochs; replica ledgers must agree.
 #include <gtest/gtest.h>
@@ -18,88 +18,37 @@
 #include <string>
 #include <vector>
 
+#include "app/loopback_cluster.hpp"
 #include "client/dl_client.hpp"
-#include "client/ingress.hpp"
-#include "dl/node.hpp"
-#include "net/event_loop.hpp"
-#include "net/tcp_env.hpp"
 
 namespace dl::client {
 namespace {
 
-net::ClusterConfig loopback_cluster(int n) {
-  net::ClusterConfig cfg;
-  cfg.n = n;
-  cfg.f = (n - 1) / 3;
-  for (int i = 0; i < n; ++i) {
-    cfg.nodes.push_back({i, "127.0.0.1", 0, 0});  // ports picked at bind time
-  }
-  return cfg;
-}
+// Four replicas, each recording its ledger; started.
+struct Cluster : app::LoopbackCluster {
+  using Ledger = std::vector<std::pair<std::uint64_t, core::BlockKey>>;
+  std::vector<Ledger> ledgers = std::vector<Ledger>(4);
 
-// One full replica: TCP env + DlNode + client ingress, all on one loop.
-struct Replica {
-  std::unique_ptr<net::TcpEnv> env;
-  std::unique_ptr<core::DlNode> node;
-  std::unique_ptr<IngressShards> ingress;
-  std::vector<std::pair<std::uint64_t, core::BlockKey>> ledger;
-};
-
-struct Cluster {
-  net::EventLoop loop;
-  std::vector<Replica> replicas;
-
-  explicit Cluster(int n, MempoolOptions mempool = {}) {
-    const net::ClusterConfig cfg = loopback_cluster(n);
-    for (int i = 0; i < n; ++i) {
-      replicas.emplace_back();
-      replicas.back().env = std::make_unique<net::TcpEnv>(loop, cfg, i);
+  explicit Cluster(MempoolOptions mempool = {})
+      : app::LoopbackCluster(4, options(mempool)) {
+    for (int i = 0; i < size(); ++i) {
+      auto* ledger = &ledgers[static_cast<std::size_t>(i)];
+      (*this)[i].set_delivery_hook(
+          [ledger](std::uint64_t at, core::BlockKey key, const core::Block&,
+                   double) { ledger->emplace_back(at, key); });
     }
-    for (auto& r : replicas) {
-      for (int j = 0; j < n; ++j) {
-        r.env->set_peer_port(j, replicas[static_cast<std::size_t>(j)]
-                                    .env->listen_port());
-      }
-    }
-    for (int i = 0; i < n; ++i) {
-      Replica& r = replicas[static_cast<std::size_t>(i)];
-      core::NodeConfig nc = core::NodeConfig::dispersed_ledger(n, (n - 1) / 3, i);
-      nc.propose_delay = 0.003;
-      nc.max_block_bytes = 8192;
-      r.node = std::make_unique<core::DlNode>(nc, *r.env);
-      IngressShards::Options iopt;
-      iopt.mempool = mempool;
-      r.ingress = std::make_unique<IngressShards>(*r.node, loop, "127.0.0.1",
-                                                  /*port=*/0, iopt);
-      auto* rep = &r;
-      r.node->set_delivery_callback([rep](std::uint64_t at, core::BlockKey key,
-                                          const core::Block& b, double now) {
-        rep->ledger.emplace_back(at, key);
-        rep->ingress->on_block_delivered(at, key, b, now);
-      });
-      r.env->start(*r.node);
-      r.ingress->start();
-    }
+    start();
   }
 
-  // Runs until `done` or the watchdog; returns false on timeout.
-  bool run_until(std::function<bool()> done, double watchdog = 30.0) {
-    bool timed_out = false;
-    std::function<void()> poll = [&] {
-      if (done()) {
-        loop.stop();
-        return;
-      }
-      loop.after(0.01, poll);
-    };
-    loop.after(0.01, poll);
-    loop.after(watchdog, [&] {
-      timed_out = true;
-      loop.stop();
-    });
-    loop.run();
-    return !timed_out;
+  static app::ReplicaOptions options(const MempoolOptions& mempool) {
+    app::ReplicaOptions o;
+    o.node.propose_delay = 0.003;
+    o.node.max_block_bytes = 8192;
+    o.mempool = mempool;
+    return o;
   }
+
+  IngressShards& ingress(int i) { return *(*this)[i].ingress(); }
 };
 
 Bytes unique_payload(std::uint64_t stream, std::uint64_t i, std::size_t n = 64) {
@@ -115,12 +64,12 @@ Bytes unique_payload(std::uint64_t stream, std::uint64_t i, std::size_t n = 64) 
 TEST(ClientE2E, TwoHundredTxsCommitExactlyOnceWithMonotoneEpochs) {
   constexpr int kN = 4;
   constexpr std::uint64_t kTxs = 200;
-  Cluster cluster(kN);
+  Cluster cluster;
 
   // Two clients on different replicas (commit notifications must route to
   // the right gateway and the right connection).
-  DlClient c0(cluster.loop, "127.0.0.1", cluster.replicas[0].ingress->listen_port());
-  DlClient c1(cluster.loop, "127.0.0.1", cluster.replicas[2].ingress->listen_port());
+  DlClient c0(cluster.loop(), "127.0.0.1", cluster.ingress(0).listen_port());
+  DlClient c1(cluster.loop(), "127.0.0.1", cluster.ingress(2).listen_port());
   c0.start();
   c1.start();
 
@@ -163,10 +112,10 @@ TEST(ClientE2E, TwoHundredTxsCommitExactlyOnceWithMonotoneEpochs) {
       c1.submit(unique_payload(2, submitted1++));
     }
     if (submitted0 < kTxs / 2 || submitted1 < kTxs / 2) {
-      cluster.loop.after(0.002, feed);
+      cluster.loop().after(0.002, feed);
     }
   };
-  cluster.loop.after(0.0, feed);
+  cluster.loop().after(0.0, feed);
 
   ASSERT_TRUE(cluster.run_until([&] {
     return c0.stats().committed >= kTxs / 2 && c1.stats().committed >= kTxs / 2;
@@ -195,32 +144,32 @@ TEST(ClientE2E, TwoHundredTxsCommitExactlyOnceWithMonotoneEpochs) {
   }
 
   // Replica ledgers agree on the common prefix.
-  std::size_t min_len = cluster.replicas[0].ledger.size();
-  for (const auto& r : cluster.replicas) {
-    min_len = std::min(min_len, r.ledger.size());
+  std::size_t min_len = cluster.ledgers[0].size();
+  for (const auto& ledger : cluster.ledgers) {
+    min_len = std::min(min_len, ledger.size());
   }
   ASSERT_GT(min_len, 0u);
   for (int i = 1; i < kN; ++i) {
     for (std::size_t k = 0; k < min_len; ++k) {
-      const auto& a = cluster.replicas[0].ledger[k];
-      const auto& b = cluster.replicas[static_cast<std::size_t>(i)].ledger[k];
+      const auto& a = cluster.ledgers[0][k];
+      const auto& b = cluster.ledgers[static_cast<std::size_t>(i)][k];
       ASSERT_EQ(a.first, b.first) << "replica " << i << " row " << k;
       ASSERT_TRUE(a.second == b.second) << "replica " << i << " row " << k;
     }
   }
 
   // Gateways accounted one admission and one notification per transaction.
-  const Gateway::Stats g0 = cluster.replicas[0].ingress->aggregate_stats();
+  const Gateway::Stats g0 = cluster.ingress(0).aggregate_stats();
   EXPECT_EQ(g0.submits, kTxs / 2);
   EXPECT_EQ(g0.commits_notified, kTxs / 2);
-  EXPECT_EQ(cluster.replicas[0].ingress->aggregate_mempool_stats().committed,
+  EXPECT_EQ(cluster.ingress(0).aggregate_mempool_stats().committed,
             kTxs / 2);
 }
 
 TEST(ClientE2E, DuplicateSubmissionAckedDuplicateAndCommittedOnce) {
-  Cluster cluster(4);
-  DlClient cli(cluster.loop, "127.0.0.1",
-               cluster.replicas[1].ingress->listen_port());
+  Cluster cluster;
+  DlClient cli(cluster.loop(), "127.0.0.1",
+               cluster.ingress(1).listen_port());
   cli.start();
 
   std::vector<net::TxStatus> acks;
@@ -228,7 +177,7 @@ TEST(ClientE2E, DuplicateSubmissionAckedDuplicateAndCommittedOnce) {
       [&](std::uint64_t, net::TxStatus st) { acks.push_back(st); });
 
   const Bytes payload = unique_payload(3, 0);
-  cluster.loop.after(0.0, [&] {
+  cluster.loop().after(0.0, [&] {
     cli.submit(payload);
     cli.submit(payload);  // same bytes: must dedup, not double-commit
   });
@@ -239,21 +188,21 @@ TEST(ClientE2E, DuplicateSubmissionAckedDuplicateAndCommittedOnce) {
   EXPECT_EQ(acks[1], net::TxStatus::Duplicate);
   EXPECT_EQ(cli.stats().committed, 1u);
   EXPECT_EQ(
-      cluster.replicas[1].ingress->aggregate_mempool_stats().dropped_duplicate,
+      cluster.ingress(1).aggregate_mempool_stats().dropped_duplicate,
       1u);
 }
 
 TEST(ClientE2E, OversizeSubmissionRejectedTerminally) {
   MempoolOptions mempool;
   mempool.max_tx_bytes = 128;
-  Cluster cluster(4, mempool);
-  DlClient cli(cluster.loop, "127.0.0.1",
-               cluster.replicas[0].ingress->listen_port());
+  Cluster cluster(mempool);
+  DlClient cli(cluster.loop(), "127.0.0.1",
+               cluster.ingress(0).listen_port());
   cli.start();
 
   net::TxStatus last{};
   cli.set_ack_callback([&](std::uint64_t, net::TxStatus st) { last = st; });
-  cluster.loop.after(0.0, [&] { cli.submit(Bytes(256, 0xEE)); });
+  cluster.loop().after(0.0, [&] { cli.submit(Bytes(256, 0xEE)); });
   ASSERT_TRUE(cluster.run_until([&] { return cli.stats().acked >= 1; }, 10.0));
   EXPECT_EQ(last, net::TxStatus::TooLarge);
   EXPECT_EQ(cli.stats().rejected, 1u);
@@ -263,16 +212,16 @@ TEST(ClientE2E, OversizeSubmissionRejectedTerminally) {
 TEST(ClientE2E, GarbageOnClientPortIsDroppedNotFatal) {
   // A raw socket spraying garbage at the gateway must get disconnected
   // while a well-behaved client on the same gateway keeps committing.
-  Cluster cluster(4);
-  DlClient cli(cluster.loop, "127.0.0.1",
-               cluster.replicas[0].ingress->listen_port());
+  Cluster cluster;
+  DlClient cli(cluster.loop(), "127.0.0.1",
+               cluster.ingress(0).listen_port());
   cli.start();
 
   const int raw = socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(raw, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(cluster.replicas[0].ingress->listen_port());
+  addr.sin_port = htons(cluster.ingress(0).listen_port());
   inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   ASSERT_EQ(::connect(raw, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
   // A valid-looking header declaring a huge frame, then junk.
@@ -283,27 +232,27 @@ TEST(ClientE2E, GarbageOnClientPortIsDroppedNotFatal) {
   std::function<void()> feed = [&] {
     if (submitted < 20) {
       cli.submit(unique_payload(4, submitted++));
-      cluster.loop.after(0.002, feed);
+      cluster.loop().after(0.002, feed);
     }
   };
-  cluster.loop.after(0.0, feed);
+  cluster.loop().after(0.0, feed);
   ASSERT_TRUE(cluster.run_until([&] { return cli.stats().committed >= 20; }));
   close(raw);
   EXPECT_EQ(cli.stats().committed, 20u);
 }
 
 TEST(ClientE2E, GatewayShutdownSendsGoodbye) {
-  Cluster cluster(4);
-  DlClient cli(cluster.loop, "127.0.0.1",
-               cluster.replicas[3].ingress->listen_port());
+  Cluster cluster;
+  DlClient cli(cluster.loop(), "127.0.0.1",
+               cluster.ingress(3).listen_port());
   cli.start();
 
-  cluster.loop.after(0.0, [&] { cli.submit(unique_payload(5, 0)); });
+  cluster.loop().after(0.0, [&] { cli.submit(unique_payload(5, 0)); });
   ASSERT_TRUE(cluster.run_until([&] { return cli.stats().committed >= 1; }));
 
   // Graceful shutdown: the client must observe a Goodbye (remote_closed)
   // rather than a reconnect loop against a dead port.
-  cluster.loop.post([&] { cluster.replicas[3].ingress->shutdown(); });
+  cluster.loop().post([&] { cluster.ingress(3).shutdown(); });
   ASSERT_TRUE(cluster.run_until([&] { return cli.remote_closed(); }, 10.0));
   EXPECT_FALSE(cli.connected());
 }
@@ -322,14 +271,14 @@ TEST(ClientE2E, OneShardIngressStartsNoThreadAndCommitsOnTheHomeLoop) {
   // must run on the node's own loop. Building the cluster includes every
   // replica's IngressShards::start().
   const int before = thread_count();
-  Cluster cluster(4);
+  Cluster cluster;
   EXPECT_EQ(thread_count(), before);
 
-  DlClient cli(cluster.loop, "127.0.0.1",
-               cluster.replicas[2].ingress->listen_port());
+  DlClient cli(cluster.loop(), "127.0.0.1",
+               cluster.ingress(2).listen_port());
   cli.start();
   int most_threads = before;
-  cluster.loop.after(0.0, [&] {
+  cluster.loop().after(0.0, [&] {
     for (std::uint64_t i = 0; i < 5; ++i) cli.submit(unique_payload(6, i));
   });
   ASSERT_TRUE(cluster.run_until([&] {
@@ -338,7 +287,7 @@ TEST(ClientE2E, OneShardIngressStartsNoThreadAndCommitsOnTheHomeLoop) {
   }));
   EXPECT_EQ(most_threads, before);
   EXPECT_EQ(cli.stats().committed, 5u);
-  EXPECT_EQ(cluster.replicas[2].ingress->aggregate_stats().commits_notified, 5u);
+  EXPECT_EQ(cluster.ingress(2).aggregate_stats().commits_notified, 5u);
 }
 
 }  // namespace

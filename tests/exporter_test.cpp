@@ -1,9 +1,9 @@
 // The /metrics series set of one in-process replica, pinned by a golden.
 //
-// The test wires a replica the way dlnoded does — TcpEnv, DlNode, client
-// ingress, a LedgerStore in a temp dir, and a NodeExporter plus the two
-// histograms dlnoded registers itself — renders the Prometheus exposition,
-// and keeps the sorted `name{labels}` of every sample line, without values.
+// The test builds an app::Replica as dlnoded does with metrics on — client
+// ingress, a LedgerStore in a temp dir, the NodeExporter and the loop-task
+// and store-drain histograms — renders the Prometheus exposition, and keeps
+// the sorted `name{labels}` of every sample line, without values.
 // The result must match tests/data/metrics_names_loops<N>.txt for --loops 1
 // and --loops 2: refactors of the ingress or the exporter may not add,
 // rename or drop a series.
@@ -17,18 +17,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "client/ingress.hpp"
-#include "dl/node.hpp"
-#include "net/event_loop.hpp"
-#include "net/tcp_env.hpp"
-#include "obs/exporter.hpp"
-#include "obs/registry.hpp"
-#include "storage/ledger_store.hpp"
+#include "app/loopback_cluster.hpp"
 
 #ifndef DL_TEST_DATA_DIR
 #error "DL_TEST_DATA_DIR must point at tests/data"
@@ -71,42 +64,13 @@ std::vector<std::string> read_lines(const std::string& path) {
 // returns its series names. Nothing runs: registration alone fixes the set.
 std::vector<std::string> replica_series(int loops) {
   TempDir dir;
-  net::ClusterConfig cfg;
-  cfg.n = 4;
-  cfg.f = 1;
-  for (int i = 0; i < cfg.n; ++i) cfg.nodes.push_back({i, "127.0.0.1", 0, 0});
-
   net::EventLoop loop;
-  std::string err;
-  auto store = storage::LedgerStore::open(dir.path, storage::StoreOptions{}, &err);
-  EXPECT_NE(store, nullptr) << err;
-  auto env = std::make_unique<net::TcpEnv>(loop, cfg, 0);
-  auto node = std::make_unique<core::DlNode>(
-      core::NodeConfig::dispersed_ledger(cfg.n, cfg.f, 0), *env);
-  node->attach_store(store.get());
-
-  client::IngressShards::Options iopt;
-  iopt.shards = loops;
-  client::IngressShards ingress(*node, loop, "127.0.0.1", /*port=*/0, iopt);
-
-  obs::Registry registry;
-  obs::ExporterSources es;
-  es.node = node.get();
-  es.env = env.get();
-  es.home_loop = &loop;
-  es.ingress = &ingress;
-  es.store = store.get();
-  obs::NodeExporter exporter(registry, es);
-  loop.set_task_histogram(registry.histogram(
-      "dl_loop_task_us", "task/timer run latency in microseconds",
-      "loop=\"home\""));
-  store->set_drain_histogram(registry.histogram(
-      "dl_store_drain_us", "drain_io latency in microseconds"));
-
-  std::vector<std::string> names = series_names(registry.prometheus_text());
-  loop.set_task_histogram(nullptr);
-  store->set_drain_histogram(nullptr);
-  return names;
+  app::ReplicaOptions opt;
+  opt.loops = loops;
+  opt.store_dir = dir.path;
+  opt.metrics = true;
+  app::Replica replica(loop, app::loopback_config(4), opt);
+  return series_names(replica.registry().prometheus_text());
 }
 
 void expect_golden(int loops) {

@@ -1,7 +1,8 @@
 // The TCP runtime backend, exercised fully in-process: several TcpEnvs on
 // loopback sockets sharing one EventLoop (the loop does not care whose fds
 // it dispatches), so the tests stay single-threaded and deterministic to
-// schedule while every byte still crosses a real kernel socket.
+// schedule while every byte still crosses a real kernel socket. Full
+// replicas run as an app::LoopbackCluster.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -13,22 +14,12 @@
 #include <string>
 #include <vector>
 
-#include "dl/node.hpp"
+#include "app/loopback_cluster.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp_env.hpp"
 
 namespace dl::net {
 namespace {
-
-ClusterConfig loopback_cluster(int n) {
-  ClusterConfig cfg;
-  cfg.n = n;
-  cfg.f = (n - 1) / 3;
-  for (int i = 0; i < n; ++i) {
-    cfg.nodes.push_back({i, "127.0.0.1", 0});  // port 0: pick at bind time
-  }
-  return cfg;
-}
 
 // Builds envs on ephemeral ports and cross-wires the real ports.
 std::vector<std::unique_ptr<TcpEnv>> make_envs(EventLoop& loop,
@@ -108,7 +99,7 @@ Envelope test_envelope(std::uint64_t epoch, const std::string& text) {
 
 TEST(TcpEnv, TwoNodeRequestResponseAndLocalLoopback) {
   EventLoop loop;
-  const ClusterConfig cfg = loopback_cluster(2);
+  const ClusterConfig cfg = app::loopback_config(2);
   auto envs = make_envs(loop, cfg);
   Recorder r0, r1;
   r0.env = envs[0].get();
@@ -150,7 +141,7 @@ TEST(TcpEnv, TwoNodeRequestResponseAndLocalLoopback) {
 
 TEST(TcpEnv, ReconnectAfterDrop) {
   EventLoop loop;
-  const ClusterConfig cfg = loopback_cluster(2);
+  const ClusterConfig cfg = app::loopback_config(2);
   TcpEnv::Options opt;
   opt.reconnect_min = 0.01;
   opt.reconnect_max = 0.05;
@@ -195,7 +186,7 @@ TEST(TcpEnv, BackpressureDropsWhenQueueFull) {
   // Peer 0 never starts, so node 1's frames to it queue until the byte cap
   // rejects them — counted, not fatal, and node 1 stays healthy.
   EventLoop loop;
-  const ClusterConfig cfg = loopback_cluster(2);
+  const ClusterConfig cfg = app::loopback_config(2);
   TcpEnv::Options opt;
   opt.max_queue_bytes = 4096;
   opt.max_frame_bytes = 1024;
@@ -228,7 +219,7 @@ TEST(TcpEnv, HandshakeTimeoutClosesSilentConnections) {
   // A socket that connects but never sends a Hello must be evicted — it may
   // not hold a pending-accept slot (or pre-auth memory) indefinitely.
   EventLoop loop;
-  const ClusterConfig cfg = loopback_cluster(2);
+  const ClusterConfig cfg = app::loopback_config(2);
   TcpEnv::Options opt;
   opt.handshake_timeout = 0.05;
   auto envs = make_envs(loop, cfg, opt);
@@ -263,85 +254,79 @@ TEST(TcpEnv, HandshakeTimeoutClosesSilentConnections) {
 }
 
 // The real thing: a 4-replica DispersedLedger cluster over loopback TCP.
-// Every replica must commit the same ledger prefix. `net_loops` >= 2 runs
-// each replica's peer connections on private transport threads (per-peer
-// loop affinity); the ledger outcome must be indistinguishable from the
-// single-loop build.
-void run_four_node_cluster(int net_loops) {
-  constexpr int kN = 4;
-  constexpr std::uint64_t kTargetEpochs = 25;
+// Every live replica must commit the same ledger prefix.
+struct Delivery {
+  std::uint64_t at_epoch;
+  std::uint64_t epoch;
+  int proposer;
+  std::uint64_t payload;
+  bool operator==(const Delivery&) const = default;
+};
 
-  EventLoop loop;
-  const ClusterConfig cfg = loopback_cluster(kN);
-  TcpEnv::Options opt;
-  opt.net_loops = net_loops;
-  auto envs = make_envs(loop, cfg, opt);
+// Self-filling blocks and no client plane: no client needed.
+app::ReplicaOptions self_filling() {
+  app::ReplicaOptions o;
+  o.node.propose_delay = 0.003;
+  o.node.backlog_tx_bytes = 64;
+  o.node.max_block_bytes = 4096;
+  o.loops = 0;
+  return o;
+}
 
-  struct Delivery {
-    std::uint64_t at_epoch;
-    std::uint64_t epoch;
-    int proposer;
-    std::uint64_t payload;
-    bool operator==(const Delivery&) const = default;
-  };
-  std::vector<std::unique_ptr<core::DlNode>> nodes;
-  std::vector<std::vector<Delivery>> logs(kN);
-  for (int i = 0; i < kN; ++i) {
-    core::NodeConfig nc = core::NodeConfig::dispersed_ledger(kN, 1, i);
-    nc.propose_delay = 0.003;
-    nc.backlog_tx_bytes = 64;  // self-filling blocks: no client needed
-    nc.max_block_bytes = 4096;
-    nodes.push_back(std::make_unique<core::DlNode>(nc, *envs[i]));
+// Starts the cluster with every replica logging its deliveries, and runs
+// it until every replica but `skip` delivered `target` epochs. Then every
+// such replica's closed prefix (epochs < target) must equal replica 0's.
+std::vector<std::vector<Delivery>> run_to_agreement(app::LoopbackCluster& c,
+                                                    std::uint64_t target,
+                                                    int skip = -1) {
+  std::vector<std::vector<Delivery>> logs(static_cast<std::size_t>(c.size()));
+  for (int i = 0; i < c.size(); ++i) {
     auto* log = &logs[static_cast<std::size_t>(i)];
-    nodes.back()->set_delivery_callback(
-        [log](std::uint64_t at, core::BlockKey key, const core::Block& b,
-              double) {
-          log->push_back({at, key.epoch, key.proposer, b.payload_bytes()});
-        });
-    envs[i]->start(*nodes.back());
+    c[i].set_delivery_hook([log](std::uint64_t at, core::BlockKey key,
+                                 const core::Block& b, double) {
+      log->push_back({at, key.epoch, key.proposer, b.payload_bytes()});
+    });
   }
-
-  bool timed_out = false;
-  std::function<void()> poll = [&] {
-    bool all_done = true;
-    for (const auto& n : nodes) {
-      if (n->stats().delivered_epochs < kTargetEpochs) all_done = false;
+  c.start();
+  const bool closed = c.run_until([&] {
+    for (int i = 0; i < c.size(); ++i) {
+      if (i != skip && c[i].node().stats().delivered_epochs < target) {
+        return false;
+      }
     }
-    if (all_done) {
-      loop.stop();
-      return;
-    }
-    loop.after(0.01, poll);
-  };
-  loop.after(0.01, poll);
-  loop.after(30.0, [&] {
-    timed_out = true;
-    loop.stop();
+    return true;
   });
-  loop.run();
-
-  ASSERT_FALSE(timed_out) << "cluster did not reach " << kTargetEpochs
-                          << " epochs in time";
-  // Filter to the closed prefix (epochs < target) and demand equality.
+  EXPECT_TRUE(closed) << "cluster did not close " << target << " epochs";
   auto prefix = [&](int i) {
     std::vector<Delivery> out;
     for (const Delivery& d : logs[static_cast<std::size_t>(i)]) {
-      if (d.at_epoch < kTargetEpochs) out.push_back(d);
+      if (d.at_epoch < target) out.push_back(d);
     }
     return out;
   };
   const auto p0 = prefix(0);
-  EXPECT_GE(p0.size(), kTargetEpochs);
-  for (int i = 1; i < kN; ++i) {
+  EXPECT_GE(p0.size(), target);
+  for (int i = 1; i < c.size(); ++i) {
+    if (i == skip) continue;
     EXPECT_EQ(prefix(i), p0) << "replica " << i << " diverged";
   }
-  // And the chained fingerprints agree wherever block counts match (they
-  // all delivered the closed prefix; fingerprints cover the whole log, so
-  // compare only when equal length).
-  for (int i = 1; i < kN; ++i) {
+  return logs;
+}
+
+// `net_loops` >= 2 runs each replica's peer connections on private
+// transport threads (per-peer loop affinity); the ledger outcome must be
+// indistinguishable from the single-loop build.
+void run_four_node_cluster(int net_loops) {
+  app::ReplicaOptions opt = self_filling();
+  opt.net_loops = net_loops;
+  app::LoopbackCluster cluster(4, opt);
+  const auto logs = run_to_agreement(cluster, 25);
+  // The chained fingerprints cover the whole log, so they agree wherever
+  // the block counts match.
+  for (int i = 1; i < cluster.size(); ++i) {
     if (logs[static_cast<std::size_t>(i)].size() == logs[0].size()) {
-      EXPECT_EQ(nodes[static_cast<std::size_t>(i)]->delivery_fingerprint(),
-                nodes[0]->delivery_fingerprint());
+      EXPECT_EQ(cluster[i].node().delivery_fingerprint(),
+                cluster[0].node().delivery_fingerprint());
     }
   }
 }
@@ -355,102 +340,30 @@ TEST(TcpCluster, FourNodeLedgerPrefixAgreement) { run_four_node_cluster(1); }
 // node is honest-but-slow and must still commit. All live replicas agree
 // on the closed prefix.
 TEST(TcpCluster, MuteAndSlowDripNodesToleratedWithIdenticalPrefixes) {
-  constexpr int kN = 4;
   constexpr int kMute = 3;
   constexpr int kDrip = 2;
-  constexpr std::uint64_t kTargetEpochs = 8;
-
-  EventLoop loop;
-  const ClusterConfig cfg = loopback_cluster(kN);
-  std::vector<std::unique_ptr<TcpEnv>> envs;
-  for (int i = 0; i < kN; ++i) {
-    TcpEnv::Options opt;
+  app::LoopbackCluster cluster(app::loopback_config(4), [](int i) {
+    app::ReplicaOptions o = self_filling();
     if (i == kMute) {
-      opt.adversary = WireAdversary::Mute;
+      o.adversary.kind = adversary::RealAdversary::Kind::Mute;
     } else if (i == kDrip) {
-      opt.adversary = WireAdversary::SlowDrip;
-      opt.slow_drip_bytes_per_sec = 32'768;
+      o.adversary.kind = adversary::RealAdversary::Kind::SlowDrip;
+      o.adversary.drip_bytes_per_sec = 32'768;
     }
-    envs.push_back(std::make_unique<TcpEnv>(loop, cfg, i, opt));
-  }
-  for (auto& env : envs) {
-    for (int j = 0; j < kN; ++j) {
-      env->set_peer_port(j, envs[static_cast<std::size_t>(j)]->listen_port());
-    }
-  }
-
-  struct Delivery {
-    std::uint64_t at_epoch;
-    std::uint64_t epoch;
-    int proposer;
-    std::uint64_t payload;
-    bool operator==(const Delivery&) const = default;
-  };
-  std::vector<std::unique_ptr<core::DlNode>> nodes;
-  std::vector<std::vector<Delivery>> logs(kN);
-  for (int i = 0; i < kN; ++i) {
-    core::NodeConfig nc = core::NodeConfig::dispersed_ledger(kN, 1, i);
-    nc.propose_delay = 0.003;
-    nc.backlog_tx_bytes = 64;
-    nc.max_block_bytes = 4096;
-    nodes.push_back(std::make_unique<core::DlNode>(nc, *envs[i]));
-    auto* log = &logs[static_cast<std::size_t>(i)];
-    nodes.back()->set_delivery_callback(
-        [log](std::uint64_t at, core::BlockKey key, const core::Block& b,
-              double) {
-          log->push_back({at, key.epoch, key.proposer, b.payload_bytes()});
-        });
-    envs[i]->start(*nodes.back());
-  }
-
-  bool timed_out = false;
-  std::function<void()> poll = [&] {
-    bool all_done = true;
-    for (int i = 0; i < kN; ++i) {
-      if (i == kMute) continue;  // may trail; the cluster closes without it
-      if (nodes[static_cast<std::size_t>(i)]->stats().delivered_epochs <
-          kTargetEpochs) {
-        all_done = false;
-      }
-    }
-    if (all_done) {
-      loop.stop();
-      return;
-    }
-    loop.after(0.01, poll);
-  };
-  loop.after(0.01, poll);
-  loop.after(30.0, [&] {
-    timed_out = true;
-    loop.stop();
+    return o;
   });
-  loop.run();
+  // The mute node may trail; the cluster closes without it.
+  run_to_agreement(cluster, 8, kMute);
 
-  ASSERT_FALSE(timed_out) << "cluster did not close " << kTargetEpochs
-                          << " epochs with mute+drip nodes";
-  auto prefix = [&](int i) {
-    std::vector<Delivery> out;
-    for (const Delivery& d : logs[static_cast<std::size_t>(i)]) {
-      if (d.at_epoch < kTargetEpochs) out.push_back(d);
-    }
-    return out;
-  };
-  const auto p0 = prefix(0);
-  EXPECT_GE(p0.size(), kTargetEpochs);
-  for (int i = 1; i < kN; ++i) {
-    if (i == kMute) continue;
-    EXPECT_EQ(prefix(i), p0) << "replica " << i << " diverged";
-  }
   // "Mute-but-connected": everyone still sees node 3's live connection...
-  EXPECT_TRUE(envs[0]->peer_stats(kMute).connected);
+  EXPECT_TRUE(cluster[0].env().peer_stats(kMute).connected);
   // ...while node 3's wire killed every outbound Data frame,
-  EXPECT_GT(envs[kMute]->peer_stats(0).shaped_drops, 0u);
-  EXPECT_EQ(envs[kMute]->peer_stats(0).sent_frames, 1u);  // the Hello only
+  EXPECT_GT(cluster[kMute].env().peer_stats(0).shaped_drops, 0u);
+  EXPECT_EQ(cluster[kMute].env().peer_stats(0).sent_frames, 1u);  // the Hello only
   // and the drip node really was throttled by its bucket.
   std::uint64_t drip_waits = 0;
-  for (int j = 0; j < kN; ++j) {
-    if (j == kDrip) continue;
-    drip_waits += envs[kDrip]->peer_stats(j).shaper_waits;
+  for (int j = 0; j < cluster.size(); ++j) {
+    if (j != kDrip) drip_waits += cluster[kDrip].env().peer_stats(j).shaper_waits;
   }
   EXPECT_GT(drip_waits, 0u);
 }

@@ -19,9 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include "app/loopback_cluster.hpp"
 #include "client/dl_client.hpp"
-#include "client/ingress.hpp"
-#include "dl/node.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp_env.hpp"
 #include "runtime/worker_pool.hpp"
@@ -190,55 +189,26 @@ TEST(ThreadedEnv, TcpEnvOffloadRunsWorkOffLoopAndDoneOnLoop) {
   EXPECT_EQ(done_order.size(), static_cast<std::size_t>(kJobs));
 }
 
-// A real 4-replica cluster (replicas share the main loop, as in
-// client_e2e_test) whose replica-0 ingress runs as TWO gateway shards on
-// their own threads behind one SO_REUSEPORT port. Several clients connect
+// A real 4-replica app::LoopbackCluster whose replica-0 ingress runs as TWO
+// gateway shards on their own threads behind one SO_REUSEPORT port (the
+// other replicas take no clients). Several clients connect
 // (the kernel spreads them across the shards), commit transactions, then
 // churn: one client disconnects and a fresh session joins mid-run. Every
 // submitted transaction must be observed committed exactly once by its
 // submitter, and the post-join shard aggregates must account for all of it.
 TEST(ThreadedEnv, ShardedGatewayCommitsAcrossConnectionChurn) {
-  constexpr int kN = 4;
-  net::EventLoop loop;
-  net::ClusterConfig cfg;
-  cfg.n = kN;
-  cfg.f = 1;
-  for (int i = 0; i < kN; ++i) cfg.nodes.push_back({i, "127.0.0.1", 0, 0});
-
-  std::vector<std::unique_ptr<net::TcpEnv>> envs;
-  std::vector<std::unique_ptr<core::DlNode>> nodes;
-  for (int i = 0; i < kN; ++i) {
-    envs.push_back(std::make_unique<net::TcpEnv>(loop, cfg, i));
-  }
-  for (auto& e : envs) {
-    for (int j = 0; j < kN; ++j) {
-      e->set_peer_port(j, envs[static_cast<std::size_t>(j)]->listen_port());
-    }
-  }
-  for (int i = 0; i < kN; ++i) {
-    core::NodeConfig nc = core::NodeConfig::dispersed_ledger(kN, 1, i);
-    nc.propose_delay = 0.003;
-    nc.max_block_bytes = 8192;
-    nodes.push_back(
-        std::make_unique<core::DlNode>(nc, *envs[static_cast<std::size_t>(i)]));
-  }
-
-  client::IngressShards::Options sopt;
-  sopt.shards = 2;
-  client::IngressShards shards(*nodes[0], loop, "127.0.0.1", /*port=*/0,
-                               sopt);
+  app::LoopbackCluster cluster(app::loopback_config(4), [](int i) {
+    app::ReplicaOptions o;
+    o.node.propose_delay = 0.003;
+    o.node.max_block_bytes = 8192;
+    o.loops = i == 0 ? 2 : 0;
+    return o;
+  });
+  net::EventLoop& loop = cluster.loop();
+  client::IngressShards& shards = *cluster[0].ingress();
   ASSERT_NE(shards.listen_port(), 0);
   ASSERT_EQ(shards.shard_count(), 2);
-
-  nodes[0]->set_delivery_callback([&](std::uint64_t at, core::BlockKey key,
-                                      const core::Block& b, double now) {
-    shards.on_block_delivered(at, key, b, now);
-  });
-  for (int i = 0; i < kN; ++i) {
-    envs[static_cast<std::size_t>(i)]->start(
-        *nodes[static_cast<std::size_t>(i)]);
-  }
-  shards.start();
+  cluster.start();
 
   auto payload = [](std::uint64_t stream, std::uint64_t i) {
     Bytes p = random_bytes(64, (stream << 32) ^ i);
@@ -281,36 +251,14 @@ TEST(ThreadedEnv, ShardedGatewayCommitsAcrossConnectionChurn) {
   };
   loop.after(0.0, feed);
 
-  auto run_until = [&](std::function<bool()> done, double watchdog) {
-    bool timed_out = false;
-    std::function<void()> poll = [&] {
-      if (done()) {
-        loop.stop();
-        return;
+  ASSERT_TRUE(cluster.run_until([&] {
+    for (int c = 0; c < kClients; ++c) {
+      if (committed[static_cast<std::size_t>(c)].size() < kPerClient) {
+        return false;
       }
-      loop.after(0.01, poll);
-    };
-    loop.after(0.01, poll);
-    const std::uint64_t wd = loop.after(watchdog, [&] {
-      timed_out = true;
-      loop.stop();
-    });
-    loop.run();
-    loop.cancel_timer(wd);  // keep it from firing into a later run()
-    return !timed_out;
-  };
-
-  ASSERT_TRUE(run_until(
-      [&] {
-        for (int c = 0; c < kClients; ++c) {
-          if (committed[static_cast<std::size_t>(c)].size() < kPerClient) {
-            return false;
-          }
-        }
-        return true;
-      },
-      30.0))
-      << "committed " << committed[0].size() << "/" << committed[1].size()
+    }
+    return true;
+  })) << "committed " << committed[0].size() << "/" << committed[1].size()
       << "/" << committed[2].size();
 
   // Churn: drop client 0, bring up a NEW session that lands on some shard
@@ -329,7 +277,7 @@ TEST(ThreadedEnv, ShardedGatewayCommitsAcrossConnectionChurn) {
       clients.back()->submit(payload(99, i));
     }
   });
-  ASSERT_TRUE(run_until([&] { return committed[kClients].size() >= 5; }, 30.0));
+  ASSERT_TRUE(cluster.run_until([&] { return committed[kClients].size() >= 5; }));
 
   EXPECT_EQ(dup_commits, 0u);
   for (auto& c : clients) c->close();

@@ -25,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "app/loopback_cluster.hpp"
 #include "dl/node.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp_env.hpp"
@@ -49,10 +50,7 @@ struct Windows {
 };
 
 net::ClusterConfig shaped_loopback(int n) {
-  net::ClusterConfig cfg;
-  cfg.n = n;
-  cfg.f = (n - 1) / 3;
-  for (int i = 0; i < n; ++i) cfg.nodes.push_back({i, "127.0.0.1", 0});
+  net::ClusterConfig cfg = app::loopback_config(n);
   net::LinkShapeRule rule;  // wildcard: one shared egress bucket per node,
   rule.schedule = net::RateSchedule{{kRateHigh, kRateLow}, kStep};
   cfg.links.push_back(rule);  // mirroring FluidLink's aggregate egress
@@ -198,32 +196,21 @@ Windows run_sim_cluster() {
 }
 
 Windows run_real_cluster() {
-  net::EventLoop loop;
   net::ClusterConfig cfg = shaped_loopback(kN);
   cfg.links[0].delay_ms = 20;  // match the sim's one-way propagation delay
-  std::vector<std::unique_ptr<net::TcpEnv>> envs;
-  for (int i = 0; i < kN; ++i) {
-    envs.push_back(std::make_unique<net::TcpEnv>(loop, cfg, i));
-  }
-  for (auto& env : envs) {
-    for (int j = 0; j < kN; ++j) {
-      env->set_peer_port(j, envs[static_cast<std::size_t>(j)]->listen_port());
-    }
-  }
-  std::vector<std::unique_ptr<core::DlNode>> nodes;
+  app::LoopbackCluster cluster(cfg, [](int i) {
+    app::ReplicaOptions o;
+    o.node = crossval_node(i);
+    o.loops = 0;
+    return o;
+  });
+  net::EventLoop& loop = cluster.loop();
   Windows win;
   const double t0 = loop.now();
-  for (int i = 0; i < kN; ++i) {
-    nodes.push_back(std::make_unique<core::DlNode>(crossval_node(i), *envs[i]));
-    if (i == 0) {
-      nodes[0]->set_delivery_callback(
-          [&win, &loop, t0](std::uint64_t, core::BlockKey,
-                            const core::Block& b, double) {
-            win.record(loop.now() - t0, b.payload_bytes());
-          });
-    }
-    envs[i]->start(*nodes[i]);
-  }
+  cluster[0].set_delivery_hook(
+      [&win, &loop, t0](std::uint64_t, core::BlockKey, const core::Block& b,
+                        double) { win.record(loop.now() - t0, b.payload_bytes()); });
+  cluster.start();
   loop.after(kRunFor + 0.05, [&] { loop.stop(); });
   loop.run();
   return win;
