@@ -24,6 +24,9 @@
 #   -c TXCOUNT    transactions dl_loadgen submits (default 2000; -L only)
 #   -r RATE       offered load in payload bytes/sec (default 400000; -L only)
 #   -o DIR        where BENCH_loadgen.{json,csv} are copied (-L only)
+#   -R PEAK_KB    fail if any replica's peak RSS exceeds PEAK_KB, read from
+#                 the "memory: peak_rss_kb" line of dlnoded's exit summary
+#                 (-L only; default: no ceiling)
 #   -l LOOPS      client ingress loops per replica (dlnoded --loops, default 1)
 #   -w WORKERS    coding/hashing worker threads (dlnoded --workers, default 0)
 #   -N NETLOOPS   replica transport loops (dlnoded --net-loops, default 1)
@@ -77,6 +80,7 @@ LOADGEN=0
 TXCOUNT=2000
 RATE=400000
 OUT_DIR=""
+RSS_MAX_KB=""
 LOOPS=1
 WORKERS=0
 NETLOOPS=1
@@ -87,7 +91,7 @@ KEEP=0
 ADVERSARY=""
 TRACE=""
 ADMIN=0
-while getopts "n:e:b:p:t:Lc:r:o:l:w:N:SF:KkA:B:M" opt; do
+while getopts "n:e:b:p:t:Lc:r:o:R:l:w:N:SF:KkA:B:M" opt; do
   case "$opt" in
     n) N="$OPTARG" ;;
     e) EPOCHS="$OPTARG" ;;
@@ -98,6 +102,7 @@ while getopts "n:e:b:p:t:Lc:r:o:l:w:N:SF:KkA:B:M" opt; do
     c) TXCOUNT="$OPTARG" ;;
     r) RATE="$OPTARG" ;;
     o) OUT_DIR="$OPTARG" ;;
+    R) RSS_MAX_KB="$OPTARG" ;;
     l) LOOPS="$OPTARG" ;;
     w) WORKERS="$OPTARG" ;;
     N) NETLOOPS="$OPTARG" ;;
@@ -441,6 +446,23 @@ if [ -n "$ADVERSARY" ]; then
   echo "run_local_cluster: adversary replica $adv ($ADVERSARY) exit $rc"
 fi
 echo "run_local_cluster: replica exit codes: ${rcs[*]}"
+
+# -R: every replica's peak RSS (getrusage's ru_maxrss, printed at exit)
+# must stay under the ceiling. .github/workflows/ci.yml sizes it for its
+# loadgen legs.
+if [ "$LOADGEN" -eq 1 ] && [ -n "$RSS_MAX_KB" ] && [ "$fail" -eq 0 ]; then
+  for ((i = 0; i < N; i++)); do
+    peak=$(sed -n 's/.*memory: peak_rss_kb=\([0-9]*\).*/\1/p' "$WORK/node_$i.out")
+    if [ -z "$peak" ]; then
+      echo "run_local_cluster: replica $i printed no memory: line" >&2
+      fail=1
+    elif [ "$peak" -gt "$RSS_MAX_KB" ]; then
+      echo "run_local_cluster: replica $i peak RSS ${peak} kB exceeds" \
+           "${RSS_MAX_KB} kB" >&2
+      fail=1
+    fi
+  done
+fi
 
 # Ledger agreement. Selfdrive mode: every replica delivered epochs
 # [0, EPOCHS) completely before exiting, so the lines with

@@ -39,6 +39,7 @@
 // ledger, 3 startup failure such as a bind collision (the launcher retries
 // those on a fresh port range), 44 adversary crash.
 #include <sys/epoll.h>
+#include <sys/resource.h>
 #include <sys/signalfd.h>
 #include <unistd.h>
 
@@ -354,18 +355,22 @@ int main(int argc, char** argv) {
     env.after(flags.linger, [&loop] { loop.stop(); });
   };
 
+  // One line per delivered block: the SHA-256 of its bytes as retrieved and
+  // stored, so the live line and the store-replay line agree.
   auto ledger_line = [&](std::uint64_t at_epoch, std::uint64_t block_epoch,
-                         std::uint32_t proposer, const core::Block& block) {
-    if (ledger == nullptr) return;
+                         std::uint32_t proposer, const Hash& digest) {
     std::fprintf(ledger, "%" PRIu64 " %" PRIu64 " %" PRIu32 " %s\n", at_epoch,
-                 block_epoch, proposer, sha256(block.encode()).hex().c_str());
+                 block_epoch, proposer, digest.hex().c_str());
   };
   // Runs before the replica notifies its clients, so the ledger line is out
   // first and crash@E dies without notifying anyone.
   replica->set_delivery_hook([&](std::uint64_t at_epoch, core::BlockKey key,
-                                 const core::Block& block, double) {
-    ledger_line(at_epoch, key.epoch, static_cast<std::uint32_t>(key.proposer),
-                block);
+                                 const core::Block&, double) {
+    if (ledger != nullptr) {
+      ledger_line(at_epoch, key.epoch,
+                  static_cast<std::uint32_t>(key.proposer),
+                  node.delivered_block_digest());
+    }
     if (ropt.adversary.kind == adversary::RealAdversary::Kind::CrashAtEpoch &&
         at_epoch >= ropt.adversary.crash_epoch) {
       // Abrupt death, not graceful shutdown: no linger, no Goodbye frames,
@@ -453,8 +458,10 @@ int main(int argc, char** argv) {
   });
 
   // Replay the recovered prefix into the text ledger's derived view.
-  replica->start([&](const storage::BlockRecord& r, const core::Block& block) {
-    ledger_line(r.at_epoch, r.block_epoch, r.proposer, block);
+  replica->start([&](const storage::BlockRecord& r, const core::Block&) {
+    if (ledger != nullptr) {
+      ledger_line(r.at_epoch, r.block_epoch, r.proposer, sha256(r.content));
+    }
   });
   loop.run();
 
@@ -510,6 +517,12 @@ int main(int argc, char** argv) {
                    ms.dropped_duplicate.load(), ms.dropped_full.load(),
                    gs.commits_notified.load());
     }
+    // High-water resident set over the whole run (Linux reports kB);
+    // scripts/run_local_cluster.sh bounds it in loadgen mode.
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    std::fprintf(stderr, "dlnoded[%d]: memory: peak_rss_kb=%ld\n", id,
+                 ru.ru_maxrss);
   }
   return timed_out ? 1 : 0;
 }

@@ -1,7 +1,10 @@
 #include "client/ingress.hpp"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <cassert>
+#include <string>
 #include <utility>
 
 namespace dl::client {
@@ -49,7 +52,8 @@ IngressShards::~IngressShards() { shutdown(); }
 void IngressShards::start() {
   if (started_ || shut_down_) return;
   started_ = true;
-  for (Shard& s : shards_) {
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    Shard& s = shards_[i];
     if (!s.loop) {
       s.gateway->start();
       continue;
@@ -58,6 +62,8 @@ void IngressShards::start() {
     // shard thread: posted tasks drain at the top of run().
     s.loop->post([g = s.gateway.get()] { g->start(); });
     s.thread = std::thread([lp = s.loop.get()] { lp->run(); });
+    pthread_setname_np(s.thread.native_handle(),
+                       ("shard" + std::to_string(i)).c_str());
   }
 }
 

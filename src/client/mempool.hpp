@@ -20,6 +20,15 @@
 //                    committed payload are answered with TxStatus::Committed
 //                    instead of being committed twice.
 //
+// The recently-committed ring is stored flat: `committed_ring` fixed-size
+// slots (the hash plus its CommitRecord, 80 bytes) overwritten oldest
+// first, and an open-addressing index of u32 slot numbers (linear probing,
+// at most half full, backward-shift deletion on eviction) for lookup by
+// hash. That is 88 bytes per remembered commit, about 5.5 MiB per mempool
+// (one per ingress shard) at the default 65,536 entries, with no allocation
+// per commit. The slots are reserved up front but take memory only as
+// commits fill them; the index doubles as the ring fills.
+//
 // Single-threaded like everything else on the node's EventLoop; no locks.
 // The stats and depth counters are relaxed atomics (obs::RelaxedU64) so the
 // admin/metrics plane can read them live from another thread; all mutation
@@ -136,7 +145,19 @@ class Mempool {
     bool popped = false;
   };
 
+  // One remembered commit: the hash and the record replayed for it.
+  struct CommittedSlot {
+    Hash hash;
+    CommitRecord record;
+  };
+
   void remember_committed(const Hash& h, const CommitRecord& record);
+  // The slot remembering `h`, or nullptr.
+  const CommittedSlot* find_committed(const Hash& h) const;
+  std::size_t index_home(const Hash& h) const;
+  void index_insert(std::size_t slot);
+  void index_erase(std::size_t slot);
+  void grow_index();
 
   MempoolOptions opt_;
   std::deque<Hash> fifo_;  // pending order (hashes into tracked_)
@@ -144,10 +165,16 @@ class Mempool {
   obs::RelaxedU64 pending_txs_;   // == fifo_.size()
   obs::RelaxedU64 pending_bytes_;
   obs::RelaxedU64 tracked_txs_;   // == tracked_.size()
-  // Bounded ring of recently committed hashes + their commit records.
-  std::unordered_map<Hash, CommitRecord, HashHasher> committed_;
-  std::vector<Hash> committed_order_;  // ring buffer of keys
+  // Bounded ring of recently committed hashes + their commit records, in
+  // commit order; once full, committed_next_ is the oldest (next evicted).
+  std::vector<CommittedSlot> committed_;
   std::size_t committed_next_ = 0;
+  // Open-addressing index into committed_: slot + 1, 0 for empty. Its size
+  // is a power of two, at least twice committed_.size(); index_shift_ is
+  // 64 - log2(size), so a hash's home position is the top bits of its
+  // first word.
+  std::vector<std::uint32_t> index_;
+  unsigned index_shift_ = 64;
   MempoolStats stats_;
 };
 

@@ -708,7 +708,11 @@ void DlNode::deliver_block(std::uint64_t at_epoch, BlockKey key) {
   w.raw(fingerprint_.view());
   w.u64(key.epoch);
   w.u32(static_cast<std::uint32_t>(key.proposer));
-  if (retrievals_.has(key)) w.raw(sha256(retrievals_.get(key)).view());
+  delivered_digest_ = Hash{};
+  if (retrievals_.has(key)) {
+    delivered_digest_ = sha256(retrievals_.get(key));
+    w.raw(delivered_digest_.view());
+  }
   fingerprint_ = sha256(w.data());
 
   if (store_ != nullptr && retrievals_.has(key)) {
@@ -1095,7 +1099,8 @@ void DlNode::install_catch_up_block(std::uint64_t at_epoch, BlockKey key,
   w.raw(fingerprint_.view());
   w.u64(key.epoch);
   w.u32(static_cast<std::uint32_t>(key.proposer));
-  w.raw(sha256(content).view());
+  delivered_digest_ = sha256(content);
+  w.raw(delivered_digest_.view());
   fingerprint_ = sha256(w.data());
 
   if (store_ != nullptr) {

@@ -184,6 +184,12 @@ class DlNode : public runtime::Receiver {
   // Delivered-prefix fingerprint: hash chain over (epoch, proposer, bytes).
   // Two correct nodes agree on every prefix (tests compare at equal counts).
   Hash delivery_fingerprint() const { return fingerprint_; }
+  // SHA-256 of the block being delivered, over its bytes as retrieved (the
+  // bytes the store keeps: vid::kBadUploader for an inconsistent
+  // dispersal). The fingerprint chain already needs it, so a delivery
+  // consumer reads it here instead of hashing the block again. Valid
+  // during the delivery callback. Home-loop only.
+  const Hash& delivered_block_digest() const { return delivered_digest_; }
   std::uint64_t next_epoch_to_deliver() const { return deliver_next_; }
 
   // Durable storage. Call before start(): replays the store's committed
@@ -284,6 +290,7 @@ class DlNode : public runtime::Receiver {
   NodeStats stats_;
   obs::FlightRecorder* flight_ = nullptr;
   Hash fingerprint_{};
+  Hash delivered_digest_{};  // see delivered_block_digest()
 
   // --- durability + catch-up state --------------------------------------
   storage::LedgerStore* store_ = nullptr;

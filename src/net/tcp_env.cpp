@@ -1,6 +1,7 @@
 #include "net/tcp_env.hpp"
 
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -10,6 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "net/socket_util.hpp"
@@ -225,6 +227,8 @@ void TcpEnv::start(runtime::Receiver& r) {
       }
     });
     tthreads_.emplace_back([l = tloops_[k].get()] { l->run(); });
+    pthread_setname_np(tthreads_.back().native_handle(),
+                       ("net" + std::to_string(k)).c_str());
   }
   loop_.post([this] {
     if (receiver_ != nullptr) receiver_->start();

@@ -1,5 +1,8 @@
 #include "runtime/worker_pool.hpp"
 
+#include <pthread.h>
+
+#include <string>
 #include <utility>
 
 namespace dl::runtime {
@@ -9,6 +12,8 @@ WorkerPool::WorkerPool(int threads) {
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this] { worker_main(); });
+    pthread_setname_np(workers_.back().native_handle(),
+                       ("worker" + std::to_string(i)).c_str());
   }
 }
 

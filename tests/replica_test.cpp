@@ -6,6 +6,8 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -132,6 +134,78 @@ TEST(Replica, RestartAnswersACommittedPayloadFromTheRecoveredStore) {
   EXPECT_EQ(ack, net::TxStatus::Committed);
   EXPECT_EQ(replay_epoch, commit_epoch);
   EXPECT_EQ(cluster[kEntry].ingress()->aggregate_mempool_stats().admitted, 0u);
+}
+
+// dlnoded's ledger line prints the digest the node computed for its
+// fingerprint chain. For a well-formed block that is the hash of the
+// block's own encoding, so the line is what hashing the block again gave.
+TEST(Replica, DeliveredDigestIsTheHashOfTheEncodedBlock) {
+  app::LoopbackCluster cluster(4, app::ReplicaOptions{});
+  std::vector<std::uint64_t> txs(4, 0);
+  for (int i = 0; i < cluster.size(); ++i) {
+    cluster[i].set_delivery_hook([&, i](std::uint64_t, core::BlockKey,
+                                        const core::Block& block, double) {
+      EXPECT_EQ(cluster[i].node().delivered_block_digest(),
+                sha256(block.encode()));
+      txs[static_cast<std::size_t>(i)] += block.txs.size();
+    });
+  }
+  cluster.start();
+  cluster.loop().after(0.0, [&] {
+    for (int i = 0; i < cluster.size(); ++i) {
+      for (std::uint64_t k = 0; k < 8; ++k) {
+        cluster[i].node().submit(
+            random_bytes(100, (static_cast<std::uint64_t>(i) << 32) | k));
+      }
+    }
+  });
+  ASSERT_TRUE(cluster.run_until([&] {
+    for (std::uint64_t t : txs) {
+      if (t < 32) return false;
+    }
+    return true;
+  }));
+}
+
+std::string read_comm(const std::filesystem::path& file) {
+  std::ifstream in(file);
+  std::string name;
+  std::getline(in, name);
+  return name;
+}
+
+// Every spawned thread is named by role, so per-thread CPU in
+// /proc/<pid>/task/*/stat says which role is busy; the home loop keeps the
+// process name, so pgrep and pkill by name still work.
+TEST(Replica, ThreadsAreNamedByRole) {
+  app::ReplicaOptions opt;
+  opt.loops = 2;
+  opt.workers = 2;
+  opt.net_loops = 2;
+  app::LoopbackCluster cluster(4, opt);
+  cluster.start();
+
+  // Every other thread (the test's own, a sanitizer runtime's) keeps the
+  // process name.
+  const std::string process = read_comm("/proc/self/comm");
+  std::map<std::string, int> roles;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    const std::string name = read_comm(task.path() / "comm");
+    if (name != process) ++roles[name];
+  }
+  const std::map<std::string, int> want = {
+      {"net0", 4},    {"net1", 4},   {"worker0", 4},
+      {"worker1", 4}, {"shard0", 4}, {"shard1", 4},
+  };
+  EXPECT_EQ(roles, want);
+
+  ASSERT_TRUE(cluster.run_until([&] {
+    for (int i = 0; i < cluster.size(); ++i) {
+      if (cluster[i].node().stats().delivered_epochs == 0) return false;
+    }
+    return true;
+  }));
 }
 
 }  // namespace
