@@ -125,7 +125,7 @@ void BM_BlockCodec(benchmark::State& state) {
   }
   const Bytes enc = b.encode();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::Block::decode(enc, 16));
+    benchmark::DoNotOptimize(core::BlockView::decode(enc, 16));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(enc.size()));

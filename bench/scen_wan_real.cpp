@@ -62,7 +62,7 @@ LegResult run_sim_leg(const net::RateSchedule& sched, double duration) {
     envs.back()->attach(*nodes.back());
   }
   nodes[0]->set_delivery_callback(
-      [&res](std::uint64_t, core::BlockKey, const core::Block& b, double) {
+      [&res](std::uint64_t, core::BlockKey, const core::BlockView& b, double) {
         res.payload_bytes += b.payload_bytes();
       });
   sim.run_until(duration);
@@ -90,7 +90,7 @@ LegResult run_real_leg(const net::RateSchedule& sched, double duration,
   });
   LegResult res;
   cluster[0].set_delivery_hook(
-      [&res](std::uint64_t, core::BlockKey, const core::Block& b, double) {
+      [&res](std::uint64_t, core::BlockKey, const core::BlockView& b, double) {
         res.payload_bytes += b.payload_bytes();
       });
   cluster.start();

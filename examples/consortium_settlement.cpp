@@ -35,7 +35,7 @@ int main() {
     envs.back()->attach(*node);
     auto* lat = &latency[static_cast<std::size_t>(i)];
     const auto self = static_cast<std::uint32_t>(i);
-    node->set_delivery_callback([lat, self](std::uint64_t, BlockKey, const Block& b,
+    node->set_delivery_callback([lat, self](std::uint64_t, BlockKey, const BlockView& b,
                                             double now) {
       for (const auto& tx : b.txs) {
         if (tx.origin == self) lat->add(now - tx.submit_time);

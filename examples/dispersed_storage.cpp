@@ -29,8 +29,8 @@ int main() {
   router.on_deliver = [&](int from, int to, const Envelope& env) {
     Outbox out;
     if (env.kind == MsgKind::VidReturnChunk) {
-      ReturnChunkMsg m;
-      if (ReturnChunkMsg::decode(env.body, m)) {
+      ChunkView m;
+      if (ChunkView::decode(env.body, m)) {
         readers[static_cast<std::size_t>(to)].handle_return_chunk(from, m);
       }
       return;
@@ -89,8 +89,8 @@ int main() {
   router2.on_deliver = [&](int from, int to, const Envelope& env) {
     Outbox out;
     if (env.kind == MsgKind::VidReturnChunk) {
-      ReturnChunkMsg m;
-      if (ReturnChunkMsg::decode(env.body, m)) {
+      ChunkView m;
+      if (ChunkView::decode(env.body, m)) {
         readers2[static_cast<std::size_t>(to)].handle_return_chunk(from, m);
       }
       return;

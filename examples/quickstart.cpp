@@ -36,7 +36,7 @@ int main() {
     // Print node 0's view of the log as it executes blocks.
     if (i == 0) {
       node->set_delivery_callback([](std::uint64_t at_epoch, BlockKey key,
-                                     const Block& block, double now) {
+                                     const BlockView& block, double now) {
         for (const auto& tx : block.txs) {
           std::printf("[%.3fs] epoch %llu delivered tx \"%s\" (proposed by node %d)\n",
                       now, static_cast<unsigned long long>(at_epoch),

@@ -365,7 +365,7 @@ int main(int argc, char** argv) {
   // Runs before the replica notifies its clients, so the ledger line is out
   // first and crash@E dies without notifying anyone.
   replica->set_delivery_hook([&](std::uint64_t at_epoch, core::BlockKey key,
-                                 const core::Block&, double) {
+                                 const core::BlockView&, double) {
     if (ledger != nullptr) {
       ledger_line(at_epoch, key.epoch,
                   static_cast<std::uint32_t>(key.proposer),
@@ -458,7 +458,7 @@ int main(int argc, char** argv) {
   });
 
   // Replay the recovered prefix into the text ledger's derived view.
-  replica->start([&](const storage::BlockRecord& r, const core::Block&) {
+  replica->start([&](const storage::BlockRecord& r, const core::BlockView&) {
     if (ledger != nullptr) {
       ledger_line(r.at_epoch, r.block_epoch, r.proposer, sha256(r.content));
     }
@@ -518,11 +518,12 @@ int main(int argc, char** argv) {
                    gs.commits_notified.load());
     }
     // High-water resident set over the whole run (Linux reports kB);
-    // scripts/run_local_cluster.sh bounds it in loadgen mode.
+    // scripts/run_local_cluster.sh bounds it in loadgen mode. Minor faults
+    // count pages the allocator handed back to the kernel and touched again.
     rusage ru{};
     getrusage(RUSAGE_SELF, &ru);
-    std::fprintf(stderr, "dlnoded[%d]: memory: peak_rss_kb=%ld\n", id,
-                 ru.ru_maxrss);
+    std::fprintf(stderr, "dlnoded[%d]: memory: peak_rss_kb=%ld minflt=%ld\n",
+                 id, ru.ru_maxrss, ru.ru_minflt);
   }
   return timed_out ? 1 : 0;
 }

@@ -82,7 +82,7 @@ Hash KvStateMachine::digest() const {
 
 ReplicatedKv::ReplicatedKv(core::DlNode& node) : node_(node) {
   node_.set_delivery_callback([this](std::uint64_t, core::BlockKey,
-                                     const core::Block& block, double) {
+                                     const core::BlockView& block, double) {
     for (const auto& tx : block.txs) {
       if (auto cmd = Command::decode(tx.payload)) sm_.apply(*cmd);
     }

@@ -75,7 +75,7 @@ Replica::Replica(net::EventLoop& home, const net::ClusterConfig& cluster,
 
   node_.set_delivery_callback([this](std::uint64_t at_epoch,
                                      core::BlockKey key,
-                                     const core::Block& block, double now) {
+                                     const core::BlockView& block, double now) {
     if (hook_) hook_(at_epoch, key, block, now);
     if (ingress_ != nullptr) ingress_->on_block_delivered(at_epoch, key, block, now);
   });
@@ -114,10 +114,10 @@ void Replica::start(const RecoveredFn& recovered) {
   if (store_ != nullptr && (ingress_ != nullptr || recovered)) {
     const int n = node_.config().n;
     store_->for_each_committed([&](const storage::BlockRecord& r) {
-      const core::Block block =
-          core::Block::decode_delivered(r.bad_uploader ? nullptr : &r.content, n);
+      const core::BlockView block = core::BlockView::decode_delivered(
+          r.bad_uploader ? nullptr : &r.content, n);
       if (ingress_ != nullptr) {
-        for (const core::Transaction& tx : block.txs) {
+        for (const core::TxView& tx : block.txs) {
           ingress_->seed_committed(sha256(tx.payload), r.at_epoch, r.proposer);
         }
       }

@@ -71,7 +71,7 @@ class Replica {
  public:
   // A block the store recovered, decoded as it was delivered live.
   using RecoveredFn = std::function<void(const storage::BlockRecord& record,
-                                         const core::Block& block)>;
+                                         const core::BlockView& block)>;
 
   // Builds every part; binds the peer, client and admin ports. Nothing
   // touches the loop's dispatch until start().

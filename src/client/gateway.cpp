@@ -121,14 +121,15 @@ void Gateway::pump() {
 }
 
 void Gateway::on_commit_batch(const CommitBatch& batch) {
-  if (batch.tx_hashes == nullptr || mempool_.tracked_txs() == 0) {
+  if (mempool_.tracked_txs() == 0) {
     drain_into_node();
     return;
   }
   const double now = loop_.now();
   std::vector<std::uint64_t> touched;  // notified clients, flushed once below
-  for (const Hash& h : *batch.tx_hashes) {
-    auto rec = mempool_.match_commit(h, batch.at_epoch, batch.proposer, now);
+  for (const ByteView payload : batch.payloads) {
+    auto rec =
+        mempool_.match_commit(payload, batch.at_epoch, batch.proposer, now);
     if (!rec.has_value()) continue;
     auto it = clients_.find(rec->client_nonce);
     if (it == clients_.end() || it->second.fd < 0) {
@@ -143,7 +144,6 @@ void Gateway::on_commit_batch(const CommitBatch& batch) {
       touched.push_back(rec->client_nonce);
     }
   }
-  update_tracked_gauge();
   // One send() burst per client per delivered block, not per transaction.
   for (const std::uint64_t nonce : touched) {
     auto it = clients_.find(nonce);
@@ -342,7 +342,6 @@ void Gateway::handle_submit(Conn& c, const net::WireFrame& wf) {
   net::encode_tx_ack_into(c.out, wf.client_seq, static_cast<net::TxStatus>(r));
   switch (r) {
     case AdmitResult::Admitted:
-      update_tracked_gauge();
       // Feed the node up to the watermark right away (keeps latency low at
       // light load; the caps + watermark govern heavy load).
       drain_into_node();

@@ -8,7 +8,7 @@
 //          ◀──TxCommitted── on_commit_batch (hash-matched per tx)
 //
 // Threading: one Gateway is affine to ONE net::EventLoop — every method
-// below must run on that loop's thread (tracked_gauge() excepted). A
+// below must run on that loop's thread. A
 // Gateway is one shard of client::IngressShards, which owns the wiring: a
 // lone shard runs on the node's own loop and its Sink calls DlNode::submit
 // in place; with N >= 2 shards each owns a loop + thread and the Sink posts
@@ -42,7 +42,6 @@
 // slow refill timer.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -61,15 +60,18 @@
 namespace dl::client {
 
 // One delivered block's commit work, prepared once on the node loop and
-// fanned out to every gateway shard. `tx_hashes` (sha256 of each transaction
-// payload, in block order) is immutable and shared — shards only look the
-// hashes up in their own mempools.
+// fanned out to every gateway shard, immutable and shared. `payloads` views
+// each transaction payload, in block order, inside `content`, which the
+// batch keeps alive. Each shard matches the payloads against its own
+// mempool when it runs the batch, so a payload admitted after delivery but
+// before the shard gets to the batch still matches.
 struct CommitBatch {
   std::uint64_t at_epoch = 0;
   std::uint32_t proposer = 0;
   double delivered_at = 0;              // node-clock delivery stamp
   core::OwnBlockStages stages;          // zeros when not an own proposal
-  std::shared_ptr<const std::vector<Hash>> tx_hashes;
+  std::shared_ptr<const Bytes> content;
+  std::vector<ByteView> payloads;
 };
 
 class Gateway {
@@ -113,13 +115,6 @@ class Gateway {
   // refill the node. Runs on the gateway's loop.
   void on_commit_batch(const CommitBatch& batch);
 
-  // Tracked-transaction gauge, readable from ANY thread (relaxed atomic):
-  // the node loop sums the shards' gauges to skip per-transaction hashing
-  // of delivered blocks while no client awaits a commit.
-  std::size_t tracked_gauge() const {
-    return tracked_gauge_.load(std::memory_order_relaxed);
-  }
-
   // Graceful shutdown: stop accepting, send each client a Goodbye, flush
   // what the sockets will take synchronously, close everything.
   void shutdown();
@@ -161,9 +156,6 @@ class Gateway {
   void flush_writes(Conn& c);
   void update_interest(Conn& c);
   void close_client(Conn& c);
-  void update_tracked_gauge() {
-    tracked_gauge_.store(mempool_.tracked_txs(), std::memory_order_relaxed);
-  }
 
   net::EventLoop& loop_;
   Sink sink_;
@@ -177,7 +169,6 @@ class Gateway {
   std::uint64_t next_pending_id_ = 1;
   std::map<int, PendingAccept> pending_;      // fd → pre-auth state
   std::map<std::uint64_t, Conn> clients_;     // nonce → connection
-  std::atomic<std::size_t> tracked_gauge_{0};
   Stats stats_;
 };
 

@@ -69,35 +69,27 @@ void IngressShards::start() {
 
 void IngressShards::on_block_delivered(std::uint64_t at_epoch,
                                        const core::BlockKey& key,
-                                       const core::Block& block, double now) {
+                                       const core::BlockView& block, double now) {
   if (shut_down_) return;
-  // No shard has a client awaiting a commit: skip the hashing and the
-  // fan-out (shards refill the node from their pump timers).
-  std::size_t tracked = 0;
-  for (const Shard& s : shards_) tracked += s.gateway->tracked_gauge();
-  if (tracked == 0) return;
-
-  CommitBatch batch;
-  batch.at_epoch = at_epoch;
-  batch.proposer = static_cast<std::uint32_t>(key.proposer);
-  batch.delivered_at = now;
+  auto batch = std::make_shared<CommitBatch>();
+  batch->at_epoch = at_epoch;
+  batch->proposer = static_cast<std::uint32_t>(key.proposer);
+  batch->delivered_at = now;
   if (key.proposer == node_.config().self) {
-    if (const auto* st = node_.own_block_stages(key.epoch)) batch.stages = *st;
+    if (const auto* st = node_.own_block_stages(key.epoch)) batch->stages = *st;
   }
-  // sha256 of every transaction, computed ONCE here, shared read-only by
-  // every shard's matcher.
-  auto hashes = std::make_shared<std::vector<Hash>>();
-  hashes->reserve(block.txs.size());
-  for (const core::Transaction& tx : block.txs) {
-    hashes->push_back(sha256(tx.payload));
-  }
-  batch.tx_hashes = std::move(hashes);
+  // The payload views point into the delivered bytes, which the batch
+  // shares; nothing is hashed here (each shard hashes only its matches).
+  batch->content = node_.delivered_content();
+  batch->payloads.reserve(block.txs.size());
+  for (const core::TxView& tx : block.txs) batch->payloads.push_back(tx.payload);
 
+  std::shared_ptr<const CommitBatch> shared = std::move(batch);
   for (Shard& s : shards_) {
     if (s.loop) {
-      s.loop->post([g = s.gateway.get(), batch] { g->on_commit_batch(batch); });
+      s.loop->post([g = s.gateway.get(), shared] { g->on_commit_batch(*shared); });
     } else {
-      s.gateway->on_commit_batch(batch);
+      s.gateway->on_commit_batch(*shared);
     }
   }
 }

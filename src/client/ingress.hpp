@@ -22,9 +22,10 @@
 //                                              ◀ delivery callback
 //
 // Cross-thread traffic is batched in both directions: a shard posts one
-// submit batch per drain to the node loop, and the node loop hashes each
-// delivered block's transactions ONCE, then posts the shared CommitBatch to
-// every shard (skipped entirely while no shard tracks a client commit).
+// submit batch per drain to the node loop, and the node loop posts each
+// delivered block to every shard as one shared CommitBatch: views of the
+// transaction payloads plus the block bytes they point into. A shard hashes
+// only the payloads whose fast key its mempool tracks.
 //
 // Exactly-once caveat: mempools are per-shard, so a client that reconnects
 // onto a different shard and resubmits an in-flight payload is re-admitted
@@ -74,10 +75,11 @@ class IngressShards {
   // Starts accepting clients; with N >= 2 shards, spawns one thread each.
   void start();
 
-  // Node-loop delivery hook: hash the block's transactions once, hand the
-  // CommitBatch to every shard. Call from the delivery callback.
+  // Node-loop delivery hook: hand the block's payloads to every shard as
+  // one shared CommitBatch. Call from the delivery callback (it reads
+  // DlNode::delivered_content()).
   void on_block_delivered(std::uint64_t at_epoch, const core::BlockKey& key,
-                          const core::Block& block, double now);
+                          const core::BlockView& block, double now);
 
   // Orderly shutdown: each shard says Goodbye to its clients; a shard with
   // its own thread then stops its loop and is joined. Idempotent.

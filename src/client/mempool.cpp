@@ -6,6 +6,27 @@
 
 namespace dl::client {
 
+namespace {
+
+// Fast non-cryptographic payload key: a key match is always confirmed by
+// SHA-256, so a collision costs one digest, never a wrong match.
+std::uint64_t payload_key(ByteView p) {
+  std::uint64_t h = 0x9E3779B97F4A7C15ull ^ p.size();
+  std::size_t i = 0;
+  for (; i + 8 <= p.size(); i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p.data() + i, sizeof w);
+    h = (h ^ w) * 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 31;
+  }
+  std::uint64_t w = 0;
+  if (i < p.size()) std::memcpy(&w, p.data() + i, p.size() - i);
+  h = (h ^ w) * 0x94D049BB133111EBull;
+  return h ^ (h >> 29);
+}
+
+}  // namespace
+
 Mempool::Mempool(MempoolOptions opt) : opt_(opt) {
   if (opt_.committed_ring == 0) opt_.committed_ring = 1;
   // Address space only: a page is touched when the first commit lands in
@@ -35,7 +56,7 @@ AdmitResult Mempool::admit(Bytes payload, double now,
     ++stats_.dropped_duplicate;
     return AdmitResult::Duplicate;
   }
-  if (fifo_.size() >= opt_.max_pending_txs ||
+  if (pending_txs_ >= opt_.max_pending_txs ||
       pending_bytes_ + payload.size() > opt_.max_pending_bytes) {
     ++stats_.dropped_full;
     stats_.dropped_full_bytes += payload.size();
@@ -48,46 +69,57 @@ AdmitResult Mempool::admit(Bytes payload, double now,
   e.client_nonce = client_nonce;
   e.client_seq = client_seq;
   e.submit_time = now;
+  e.key = payload_key(payload);
+  e.seq = next_seq_++;
   e.payload = std::move(payload);
-  fifo_.push_back(h);
+  fifo_.push_back({h, e.seq});
+  ++tracked_keys_[e.key];
   tracked_.emplace(h, std::move(e));
   ++pending_txs_;
   ++tracked_txs_;
   return AdmitResult::Admitted;
 }
 
-std::optional<Bytes> Mempool::pop() {
-  if (fifo_.empty()) return std::nullopt;
-  const Hash h = fifo_.front();
-  fifo_.pop_front();
-  --pending_txs_;
-  Entry& e = tracked_.at(h);
-  e.popped = true;
-  pending_bytes_ -= e.payload.size();
-  Bytes payload = std::move(e.payload);
-  e.payload = Bytes{};
-  return payload;
+bool Mempool::is_stale(const PendingSlot& slot) const {
+  auto it = tracked_.find(slot.hash);
+  return it == tracked_.end() || it->second.seq != slot.seq;
 }
 
-std::optional<CommitRecord> Mempool::match_commit(const Hash& h,
+std::optional<Bytes> Mempool::pop() {
+  while (!fifo_.empty()) {
+    const PendingSlot slot = fifo_.front();
+    fifo_.pop_front();
+    auto it = tracked_.find(slot.hash);
+    if (it == tracked_.end() || it->second.seq != slot.seq) {
+      --stale_slots_;  // committed elsewhere while pending
+      continue;
+    }
+    --pending_txs_;
+    Entry& e = it->second;
+    e.popped = true;
+    pending_bytes_ -= e.payload.size();
+    Bytes payload = std::move(e.payload);
+    e.payload = Bytes{};
+    return payload;
+  }
+  return std::nullopt;
+}
+
+void Mempool::untrack(std::unordered_map<Hash, Entry, HashHasher>::iterator it) {
+  auto k = tracked_keys_.find(it->second.key);
+  if (--k->second == 0) tracked_keys_.erase(k);
+  tracked_.erase(it);
+  --tracked_txs_;
+}
+
+std::optional<CommitRecord> Mempool::match_commit(ByteView payload,
                                                   std::uint64_t epoch,
                                                   std::uint32_t proposer,
                                                   double now) {
+  if (!tracked_keys_.contains(payload_key(payload))) return std::nullopt;
+  const Hash h = sha256(payload);
   auto it = tracked_.find(h);
   if (it == tracked_.end()) return std::nullopt;
-  // A commit can land while the payload is still pending here (the same
-  // payload reached another node's block first); drop the stale queue slot
-  // so it is not packed a second time.
-  if (!it->second.popped) {
-    pending_bytes_ -= it->second.payload.size();
-    for (auto f = fifo_.begin(); f != fifo_.end(); ++f) {
-      if (*f == h) {
-        fifo_.erase(f);
-        --pending_txs_;
-        break;
-      }
-    }
-  }
   CommitRecord rec;
   rec.client_nonce = it->second.client_nonce;
   rec.client_seq = it->second.client_seq;
@@ -96,10 +128,23 @@ std::optional<CommitRecord> Mempool::match_commit(const Hash& h,
   rec.submit_time = it->second.submit_time;
   const double lat = now - it->second.submit_time;
   rec.latency_us = lat > 0 ? static_cast<std::uint64_t>(lat * 1e6) : 0;
-  tracked_.erase(it);
-  --tracked_txs_;
+  // A commit can land while the payload is still pending here (the same
+  // payload reached another node's block first): its FIFO slot goes stale
+  // so it is not packed a second time.
+  const bool was_pending = !it->second.popped;
+  if (was_pending) {
+    pending_bytes_ -= it->second.payload.size();
+    --pending_txs_;
+    ++stale_slots_;
+  }
+  untrack(it);
   ++stats_.committed;
   remember_committed(h, rec);
+  if (was_pending && stale_slots_ > fifo_.size() / 2) {
+    // Each compaction removes at least half the FIFO: amortized O(1).
+    std::erase_if(fifo_, [this](const PendingSlot& s) { return is_stale(s); });
+    stale_slots_ = 0;
+  }
   return rec;
 }
 

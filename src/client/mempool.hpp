@@ -13,12 +13,24 @@
 //   admit()        — dedup + caps checked; payload queued FIFO, hash tracked
 //   pop()          — oldest pending payload handed to DlNode::submit() for
 //                    block packing; the entry stays tracked (in flight)
-//   match_commit() — a delivered block contained this payload hash; returns
+//   match_commit() — a delivered block contained this payload; returns
 //                    the origin (client nonce, seq, submit time) exactly
 //                    once and moves the hash into a bounded recently-
 //                    committed ring so late resubmissions of an already-
 //                    committed payload are answered with TxStatus::Committed
 //                    instead of being committed twice.
+//
+// Every transaction of every delivered block is offered to match_commit,
+// most of them proposed elsewhere and never tracked here. Tracked payloads
+// are therefore also indexed by a fast non-cryptographic key, and a
+// delivered payload is SHA-256-hashed only when its key is tracked.
+//
+// A payload that commits while still pending here (a client sent it to
+// several replicas) leaves a stale slot in the pending FIFO, which pop()
+// skips; each slot carries its admission's sequence number, so a slot
+// never pops a later re-admission of the same hash. Stale slots are
+// compacted away once they outnumber the live ones, so match_commit is
+// amortized O(1).
 //
 // The recently-committed ring is stored flat: `committed_ring` fixed-size
 // slots (the hash plus its CommitRecord, 80 bytes) overwritten oldest
@@ -105,15 +117,17 @@ class Mempool {
                     std::uint64_t client_seq, Hash* out_hash = nullptr);
 
   // Block-packing source: oldest pending payload, or nullopt when drained.
-  // The entry stays tracked until match_commit sees its hash.
+  // The entry stays tracked until match_commit sees its payload.
   std::optional<Bytes> pop();
 
   // Called for every transaction of every delivered block. The first time a
-  // tracked hash is seen, computes the full commit record (owner, latency
-  // from the admit-time stamp to `now`), moves the hash into the committed
-  // ring, and returns the record. nullopt otherwise (not ours / already
-  // matched — exactly-once).
-  std::optional<CommitRecord> match_commit(const Hash& h, std::uint64_t epoch,
+  // tracked payload is seen, computes the full commit record (owner,
+  // latency from the admit-time stamp to `now`), moves its hash into the
+  // committed ring, and returns the record. nullopt otherwise (not ours /
+  // already matched — exactly-once). Hashes `payload` only when its fast
+  // key is tracked.
+  std::optional<CommitRecord> match_commit(ByteView payload,
+                                           std::uint64_t epoch,
                                            std::uint32_t proposer, double now);
 
   // The replayable commit for an already-committed hash (AdmitResult::
@@ -142,7 +156,15 @@ class Mempool {
     std::uint64_t client_nonce = 0;
     std::uint64_t client_seq = 0;
     double submit_time = 0;
+    std::uint64_t key = 0;  // payload_key(payload)
+    std::uint64_t seq = 0;  // admission number, matched by its FIFO slot
     bool popped = false;
+  };
+
+  // One pending-FIFO slot: stale once its entry committed or was replaced.
+  struct PendingSlot {
+    Hash hash;
+    std::uint64_t seq = 0;
   };
 
   // One remembered commit: the hash and the record replayed for it.
@@ -151,6 +173,8 @@ class Mempool {
     CommitRecord record;
   };
 
+  bool is_stale(const PendingSlot& slot) const;
+  void untrack(std::unordered_map<Hash, Entry, HashHasher>::iterator it);
   void remember_committed(const Hash& h, const CommitRecord& record);
   // The slot remembering `h`, or nullptr.
   const CommittedSlot* find_committed(const Hash& h) const;
@@ -160,9 +184,13 @@ class Mempool {
   void grow_index();
 
   MempoolOptions opt_;
-  std::deque<Hash> fifo_;  // pending order (hashes into tracked_)
+  std::deque<PendingSlot> fifo_;  // pending order, stale slots included
+  std::size_t stale_slots_ = 0;
+  std::uint64_t next_seq_ = 0;
   std::unordered_map<Hash, Entry, HashHasher> tracked_;
-  obs::RelaxedU64 pending_txs_;   // == fifo_.size()
+  // Fast key -> number of tracked payloads with that key.
+  std::unordered_map<std::uint64_t, std::uint32_t> tracked_keys_;
+  obs::RelaxedU64 pending_txs_;   // live (non-stale) fifo_ slots
   obs::RelaxedU64 pending_bytes_;
   obs::RelaxedU64 tracked_txs_;   // == tracked_.size()
   // Bounded ring of recently committed hashes + their commit records, in

@@ -5,7 +5,9 @@
 // instance inside an epoch (the proposer index); standalone VID deployments
 // (e.g. the dispersed-storage example) use epoch 0 and an arbitrary
 // instance id. Decoding is total: malformed input yields std::nullopt, never
-// UB — Byzantine peers control these bytes.
+// UB — Byzantine peers control these bytes. A received envelope decodes into
+// an EnvelopeView whose body points into the received bytes; nothing is
+// copied until a handler keeps something.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +43,26 @@ enum class MsgKind : std::uint8_t {
   CatchUpDone = 50,
 };
 
+// A received envelope: the header fields, and the body as a view into the
+// bytes it was decoded from (valid only as long as they are).
+struct EnvelopeView {
+  MsgKind kind{};
+  std::uint64_t epoch = 0;
+  std::uint32_t instance = 0;
+  ByteView body;
+
+  static std::optional<EnvelopeView> decode(ByteView in) {
+    Reader r(in);
+    EnvelopeView e;
+    e.kind = static_cast<MsgKind>(r.u8());
+    e.epoch = r.u64();
+    e.instance = r.u32();
+    e.body = r.bytes();
+    if (!r.done()) return std::nullopt;
+    return e;
+  }
+};
+
 struct Envelope {
   MsgKind kind{};
   std::uint64_t epoch = 0;
@@ -70,23 +92,12 @@ struct Envelope {
   }
 
   Bytes encode() const {
-    Writer w;
+    Writer w(kHeaderBytes + body.size());
     w.u8(static_cast<std::uint8_t>(kind));
     w.u64(epoch);
     w.u32(instance);
     w.bytes(body);
     return std::move(w).take();
-  }
-
-  static std::optional<Envelope> decode(ByteView in) {
-    Reader r(in);
-    Envelope e;
-    e.kind = static_cast<MsgKind>(r.u8());
-    e.epoch = r.u64();
-    e.instance = r.u32();
-    e.body = r.bytes();
-    if (!r.done()) return std::nullopt;
-    return e;
   }
 };
 

@@ -24,6 +24,11 @@ void Writer::raw(ByteView b) {
   buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
+std::uint8_t* Writer::skip(std::size_t n) {
+  buf_.resize(buf_.size() + n);
+  return buf_.data() + buf_.size() - n;
+}
+
 bool Reader::take(std::size_t n) {
   if (!ok_ || data_.size() - pos_ < n) {
     ok_ = false;
@@ -60,15 +65,14 @@ std::uint64_t Reader::u64() {
   return v;
 }
 
-Bytes Reader::bytes() {
+ByteView Reader::bytes() {
   std::uint32_t n = u32();
   return raw(n);
 }
 
-Bytes Reader::raw(std::size_t n) {
+ByteView Reader::raw(std::size_t n) {
   if (!take(n)) return {};
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const ByteView out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
 }

@@ -125,7 +125,7 @@ bool CrossChecksum::decode(ByteView in, CrossChecksum& out) {
   if (!r.ok() || nh > 1024) return false;
   out.chunk_hashes.assign(nh, Hash{});
   for (std::uint32_t i = 0; i < nh; ++i) {
-    Bytes raw = r.raw(32);
+    const ByteView raw = r.raw(32);
     if (!r.ok()) return false;
     std::copy(raw.begin(), raw.end(), out.chunk_hashes[i].v.begin());
   }

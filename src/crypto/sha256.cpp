@@ -191,6 +191,9 @@ Dispatch& dispatch() {
   return d;
 }
 
+// Block compressions run on this thread (sha256_compressions()).
+thread_local std::uint64_t t_compressions = 0;
+
 void store_be(const std::uint32_t* state, Hash& out) {
   for (int i = 0; i < 8; ++i) {
     out.v[static_cast<std::size_t>(4 * i)] = static_cast<std::uint8_t>(state[i] >> 24);
@@ -214,6 +217,8 @@ std::vector<ShaKernel> sha256_supported_kernels() {
 
 ShaKernel sha256_active_kernel() { return dispatch().kernel; }
 
+std::uint64_t sha256_compressions() { return t_compressions; }
+
 void sha256_set_active_kernel(ShaKernel k) {
   if (!sha_kernel_supported(k)) k = ShaKernel::Scalar;
   dispatch() = Dispatch{k, compress_for(k)};
@@ -230,7 +235,10 @@ std::string Hash::hex() const { return to_hex(view()); }
 
 Sha256::Sha256() : state_(kInit) {}
 
-void Sha256::process_block(const std::uint8_t* p) { dispatch().fn(state_.data(), p); }
+void Sha256::process_block(const std::uint8_t* p) {
+  ++t_compressions;
+  dispatch().fn(state_.data(), p);
+}
 
 void Sha256::update(ByteView data) {
   total_len_ += data.size();
@@ -289,6 +297,8 @@ Hash sha256_tagged(std::uint8_t tag, ByteView data) {
   // `data`, and the padding blocks are built in place.
   std::array<std::uint32_t, 8> st = kInit;
   const CompressFn compress = dispatch().fn;
+  // tag || data plus the 0x80 byte and the 8-byte length, in 64-byte blocks.
+  t_compressions += (data.size() + 1 + 8) / 64 + 1;
   std::uint8_t block[64];
   block[0] = tag;
   const std::size_t head = data.size() < 63 ? data.size() : 63;

@@ -57,6 +57,11 @@ ShaKernel sha256_active_kernel();
 /// tier falls back to ShaKernel::Scalar.
 void sha256_set_active_kernel(ShaKernel k);
 
+/// Block compressions run on the calling thread so far, by every function
+/// below. A work count for tests and profiles: it repeats exactly for the
+/// same inputs, unlike a timing.
+std::uint64_t sha256_compressions();
+
 /// One-shot SHA-256 of `data`.
 Hash sha256(ByteView data);
 

@@ -38,13 +38,18 @@ bool CatchUpChunkMsg::decode(ByteView in, CatchUpChunkMsg& out) {
   out.block_index = r.u32();
   out.block_epoch = r.u64();
   out.proposer = r.u32();
-  const Bytes chunk_raw = r.bytes();
+  const ByteView chunk_raw = r.bytes();
   if (!r.done()) return false;
   if (out.block_count == 0) {
     return chunk_raw.empty() && out.block_index == 0;
   }
-  return out.block_index < out.block_count &&
-         vid::ChunkMsg::decode(chunk_raw, out.chunk);
+  vid::ChunkView chunk;
+  if (out.block_index >= out.block_count ||
+      !vid::ChunkView::decode(chunk_raw, chunk)) {
+    return false;
+  }
+  out.chunk = vid::ChunkMsg::from(chunk);
+  return true;
 }
 
 Bytes CatchUpDoneMsg::encode() const {

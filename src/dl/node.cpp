@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/buffer_recycler.hpp"
 #include "common/serial.hpp"
 #include "obs/flight_recorder.hpp"
 #include "storage/ledger_store.hpp"
@@ -323,27 +324,29 @@ void DlNode::propose_now() {
     return;
   }
 
-  Bytes encoded = b.encode();
+  auto enc = share_buffer(b.encode());
   own_blocks_.emplace(e, std::move(b));
-  retrievals_.put_local(BlockKey{e, cfg_.self}, encoded);
+  retrievals_.put_local(BlockKey{e, cfg_.self}, enc);
   own_stages_[e].proposed = last_propose_time_;
 
   // Disperse(B) as the client of our own VID instance. The erasure encode
   // and Merkle build (one batched tree per block) are the CPU-heavy half of
   // proposing, so they go through the executor seam: off-loop when the Env
   // has a worker pool, inline (identical event order) otherwise. The work
-  // closure touches only value captures and immutable config.
-  auto enc = std::make_shared<const Bytes>(std::move(encoded));
-  auto chunks = std::make_shared<std::vector<vid::ChunkMsg>>();
+  // closure touches only value captures and immutable config; it shares
+  // the block's bytes with the retrieval manager.
+  auto bodies = std::make_shared<std::vector<Bytes>>();
   env_.offload(
-      [this, enc, chunks] { *chunks = avid_m_disperse(vid_params_, *enc); },
-      [this, e, chunks] {
+      [this, enc, bodies] {
+        *bodies = avid_m_disperse_bodies(vid_params_, *enc);
+      },
+      [this, e, bodies] {
         Outbox out;
         for (int i = 0; i < cfg_.n; ++i) {
           OutMsg m;
           m.to = i;
           m.env.kind = MsgKind::VidChunk;
-          m.env.body = (*chunks)[static_cast<std::size_t>(i)].encode();
+          m.env.body = std::move((*bodies)[static_cast<std::size_t>(i)]);
           out.push_back(std::move(m));
         }
         flush(std::move(out), e, static_cast<std::uint32_t>(cfg_.self));
@@ -353,9 +356,17 @@ void DlNode::propose_now() {
 // --- message handling --------------------------------------------------------
 
 void DlNode::on_receive(int from, ByteView bytes) {
-  auto env_opt = Envelope::decode(bytes);
-  if (!env_opt.has_value()) return;  // Byzantine noise
-  Envelope& env = *env_opt;
+  // The envelope and every message decoded from it view `bytes`; handlers
+  // copy only what they keep.
+  const auto env = EnvelopeView::decode(bytes);
+  if (env.has_value()) on_envelope(from, *env);  // else Byzantine noise
+}
+
+void DlNode::on_receive_local(int self, const Envelope& env) {
+  on_envelope(self, EnvelopeView{env.kind, env.epoch, env.instance, env.body});
+}
+
+void DlNode::on_envelope(int from, const EnvelopeView& env) {
   if (env.instance >= static_cast<std::uint32_t>(cfg_.n)) return;
   if (env.epoch > propose_epoch_ + kMaxEpochSkew &&
       env.epoch > deliver_next_ + kMaxEpochSkew) {
@@ -401,7 +412,7 @@ void DlNode::on_receive(int from, ByteView bytes) {
   // Unknown kinds are dropped.
 }
 
-void DlNode::handle_vid_message(int from, const Envelope& env) {
+void DlNode::handle_vid_message(int from, const EnvelopeView& env) {
   // Only node j may disperse into VID_j^e: drop impersonated Chunk messages
   // (§4.2 footnote 3).
   if (env.kind == MsgKind::VidChunk && from != static_cast<int>(env.instance)) {
@@ -418,7 +429,7 @@ void DlNode::handle_vid_message(int from, const Envelope& env) {
   maybe_retire(env.epoch);
 }
 
-void DlNode::handle_ba_message(int from, const Envelope& env) {
+void DlNode::handle_ba_message(int from, const EnvelopeView& env) {
   DLEpoch& st = epoch_state(env.epoch);
   Outbox out;
   st.ba(static_cast<int>(env.instance)).handle(from, env.kind, env.body, out);
@@ -427,18 +438,20 @@ void DlNode::handle_ba_message(int from, const Envelope& env) {
   maybe_retire(env.epoch);
 }
 
-void DlNode::handle_return_chunk(int from, const Envelope& env) {
-  vid::ReturnChunkMsg m;
-  if (!vid::ReturnChunkMsg::decode(env.body, m)) return;
+void DlNode::handle_return_chunk(int from, const EnvelopeView& env) {
+  vid::ChunkView m;
+  if (!vid::ChunkView::decode(env.body, m)) return;
   const BlockKey key{env.epoch, static_cast<int>(env.instance)};
   if (retrievals_.feed_chunk(from, key, m) != RetrievalManager::Feed::kReady) {
     return;
   }
   // Enough chunks: run the RS decode + re-encode + Merkle check through the
-  // executor seam. The job owns value copies of its inputs; the retrieval
-  // stays active (rejecting further chunks) until the continuation installs
-  // the outcome, which re-checks liveness in case it was released meanwhile.
-  auto job = std::make_shared<const vid::DecodeJob>(retrievals_.decode_job(key));
+  // executor seam. The accepted chunks move into the job, which owns them;
+  // the retrieval stays active (rejecting further chunks) until the
+  // continuation installs the outcome, which re-checks liveness in case it
+  // was released meanwhile.
+  auto job =
+      std::make_shared<const vid::DecodeJob>(retrievals_.take_decode_job(key));
   auto result = std::make_shared<vid::DecodeResult>();
   const std::uint64_t e = env.epoch;
   const std::uint32_t instance = env.instance;
@@ -459,7 +472,7 @@ void DlNode::handle_return_chunk(int from, const Envelope& env) {
       });
 }
 
-void DlNode::handle_cancel(int from, const Envelope& env) {
+void DlNode::handle_cancel(int from, const EnvelopeView& env) {
   // Client `from` decoded block (epoch, instance): drop the ReturnChunk we
   // may still have queued for it.
   env_.cancel_send(retrieval_tag(env.epoch, env.instance, from));
@@ -619,12 +632,12 @@ void DlNode::try_deliver() {
 
     // Phase 2 steps 3-4: combine observations, queue linked retrievals.
     if (cfg_.inter_node_linking && !st.linked_computed) {
-      // Decode each committed block once; only the V arrays are needed here.
+      // Only the V arrays are needed here; deliver_block decodes the rest.
       std::vector<std::vector<std::uint64_t>> v_arrays;
       v_arrays.reserve(st.commit_set().size());
       for (int k : st.commit_set()) {
         const Bytes* content = retrievals_.content(BlockKey{e, k});
-        v_arrays.push_back(Block::decode_delivered(content, cfg_.n).v_array);
+        v_arrays.push_back(BlockView::delivered_v_array(content, cfg_.n));
       }
       std::vector<std::uint64_t> column(v_arrays.size());
       for (int j = 0; j < cfg_.n; ++j) {
@@ -692,13 +705,19 @@ void DlNode::try_deliver() {
 }
 
 void DlNode::deliver_block(std::uint64_t at_epoch, BlockKey key) {
-  const Block block =
-      Block::decode_delivered(retrievals_.content(key), cfg_.n);
+  deliver_content(at_epoch, key, retrievals_.shared(key),
+                  retrievals_.is_bad(key));
+}
+
+void DlNode::deliver_content(std::uint64_t at_epoch, BlockKey key,
+                             std::shared_ptr<const Bytes> content, bool bad) {
+  const BlockView block =
+      BlockView::decode_delivered(bad ? nullptr : content.get(), cfg_.n);
   delivered_.insert(key);
 
   ++stats_.delivered_blocks;
   if (key.epoch != at_epoch) ++stats_.delivered_linked_blocks;
-  if (retrievals_.has(key) && retrievals_.is_bad(key)) ++stats_.bad_uploader_blocks;
+  if (bad) ++stats_.bad_uploader_blocks;
   stats_.delivered_payload_bytes += block.payload_bytes();
   stats_.delivered_tx_count += block.txs.size();
   stats_.input_queue_bytes = input_queue_bytes_.load(std::memory_order_relaxed);
@@ -709,16 +728,16 @@ void DlNode::deliver_block(std::uint64_t at_epoch, BlockKey key) {
   w.u64(key.epoch);
   w.u32(static_cast<std::uint32_t>(key.proposer));
   delivered_digest_ = Hash{};
-  if (retrievals_.has(key)) {
-    delivered_digest_ = sha256(retrievals_.get(key));
+  if (content != nullptr) {
+    delivered_digest_ = sha256(*content);
     w.raw(delivered_digest_.view());
   }
   fingerprint_ = sha256(w.data());
 
-  if (store_ != nullptr && retrievals_.has(key)) {
+  if (store_ != nullptr && content != nullptr) {
     store_->append_block({at_epoch, key.epoch,
-                          static_cast<std::uint32_t>(key.proposer),
-                          retrievals_.is_bad(key), retrievals_.get(key)});
+                          static_cast<std::uint32_t>(key.proposer), bad,
+                          *content});
   }
 
   if (key.proposer == cfg_.self) {
@@ -726,7 +745,11 @@ void DlNode::deliver_block(std::uint64_t at_epoch, BlockKey key) {
     if (it != own_stages_.end()) it->second.delivered = env_.now();
   }
 
-  if (on_deliver_) on_deliver_(at_epoch, key, block, env_.now());
+  if (on_deliver_) {
+    delivered_content_ = std::move(content);
+    on_deliver_(at_epoch, key, block, env_.now());
+    delivered_content_.reset();
+  }
 
   retrievals_.release(key);
   if (key.proposer == cfg_.self) {
@@ -759,8 +782,8 @@ void DlNode::recover_from_store() {
     ++stats_.delivered_blocks;
     if (r.block_epoch != r.at_epoch) ++stats_.delivered_linked_blocks;
     if (r.bad_uploader) ++stats_.bad_uploader_blocks;
-    const Block block =
-        Block::decode_delivered(r.bad_uploader ? nullptr : &r.content, cfg_.n);
+    const BlockView block = BlockView::decode_delivered(
+        r.bad_uploader ? nullptr : &r.content, cfg_.n);
     stats_.delivered_payload_bytes += block.payload_bytes();
     stats_.delivered_tx_count += block.txs.size();
     return true;
@@ -833,7 +856,7 @@ void DlNode::start_catch_up_round() {
   }
 }
 
-void DlNode::handle_catch_up_request(int from, const Envelope& env) {
+void DlNode::handle_catch_up_request(int from, const EnvelopeView& env) {
   CatchUpRequestMsg req;
   if (!CatchUpRequestMsg::decode(env.body, req)) return;
   if (store_ == nullptr || from == cfg_.self || from < 0) return;
@@ -901,7 +924,7 @@ void DlNode::handle_catch_up_request(int from, const Envelope& env) {
       });
 }
 
-void DlNode::handle_catch_up_done(int from, const Envelope& env) {
+void DlNode::handle_catch_up_done(int from, const EnvelopeView& env) {
   CatchUpDoneMsg m;
   if (!CatchUpDoneMsg::decode(env.body, m)) return;
   if (!round_.active || m.round_from != round_.from) return;
@@ -922,7 +945,7 @@ void DlNode::handle_catch_up_done(int from, const Envelope& env) {
   try_install_catch_up();
 }
 
-void DlNode::handle_catch_up_chunk(int from, const Envelope& env) {
+void DlNode::handle_catch_up_chunk(int from, const EnvelopeView& env) {
   CatchUpChunkMsg m;
   if (!CatchUpChunkMsg::decode(env.body, m)) return;
   if (!round_.active || m.round_from != round_.from) return;
@@ -976,8 +999,8 @@ void DlNode::handle_catch_up_chunk(int from, const Envelope& env) {
   }
   if (slot.retriever->offer_chunk(from, m.chunk)) {
     slot.decoding = true;
-    auto job =
-        std::make_shared<const vid::DecodeJob>(slot.retriever->make_decode_job());
+    auto job = std::make_shared<const vid::DecodeJob>(
+        slot.retriever->take_decode_job());
     auto result = std::make_shared<vid::DecodeResult>();
     const std::uint64_t at = m.at_epoch;
     const std::uint32_t index = m.block_index;
@@ -1002,8 +1025,8 @@ void DlNode::handle_catch_up_chunk(int from, const Envelope& env) {
                 vid_params_, cfg_.self);
             return;
           }
-          slot.retriever->complete(std::move(*result));
-          slot.content = slot.retriever->result();
+          slot.content = share_buffer(std::move(result->block));
+          slot.retriever.reset();
           slot.have = true;
           try_install_catch_up();
         });
@@ -1075,48 +1098,17 @@ void DlNode::try_install_catch_up() {
 }
 
 void DlNode::install_catch_up_block(std::uint64_t at_epoch, BlockKey key,
-                                    const Bytes& content) {
+                                    std::shared_ptr<const Bytes> content) {
   if (flight_ != nullptr) {
     flight_->record(env_.now(), obs::FlightRecorder::Ev::kCatchUpInstall,
                     key.epoch, static_cast<std::uint32_t>(key.proposer));
   }
-  delivered_.insert(key);
-  const bool bad = equal(content, bytes_of(vid::kBadUploader));
-
-  ++stats_.delivered_blocks;
   ++stats_.caught_up_blocks;
-  if (key.epoch != at_epoch) ++stats_.delivered_linked_blocks;
-  if (bad) ++stats_.bad_uploader_blocks;
-
-  const Block block = Block::decode_delivered(bad ? nullptr : &content, cfg_.n);
-  stats_.delivered_payload_bytes += block.payload_bytes();
-  stats_.delivered_tx_count += block.txs.size();
-  stats_.input_queue_bytes = input_queue_bytes_.load(std::memory_order_relaxed);
-
-  // Same chain rule as deliver_block, so a caught-up node converges to the
-  // byte-identical prefix fingerprint.
-  Writer w;
-  w.raw(fingerprint_.view());
-  w.u64(key.epoch);
-  w.u32(static_cast<std::uint32_t>(key.proposer));
-  delivered_digest_ = sha256(content);
-  w.raw(delivered_digest_.view());
-  fingerprint_ = sha256(w.data());
-
-  if (store_ != nullptr) {
-    store_->append_block({at_epoch, key.epoch,
-                          static_cast<std::uint32_t>(key.proposer), bad,
-                          content});
-  }
-
-  if (on_deliver_) on_deliver_(at_epoch, key, block, env_.now());
-
   linked_pending_.erase(key);
-  retrievals_.release(key);
-  if (key.proposer == cfg_.self) {
-    own_blocks_.erase(key.epoch);
-    own_stages_.erase(key.epoch);
-  }
+  // Same delivery as a live block, so a caught-up node converges to the
+  // byte-identical prefix fingerprint.
+  const bool bad = equal(*content, bytes_of(vid::kBadUploader));
+  deliver_content(at_epoch, key, std::move(content), bad);
 }
 
 }  // namespace dl::core

@@ -153,10 +153,11 @@ class DlNode : public runtime::Receiver {
   void submit(Bytes payload);
 
   // Invoked for every delivered (executed) block, in delivery order —
-  // identical across correct nodes.
+  // identical across correct nodes. `block` views the delivered bytes and
+  // is valid during the call only; delivered_content() shares those bytes.
   using DeliveryFn =
       std::function<void(std::uint64_t epoch_delivered_in, BlockKey key,
-                         const Block& block, double now)>;
+                         const BlockView& block, double now)>;
   void set_delivery_callback(DeliveryFn fn) { on_deliver_ = std::move(fn); }
 
   const NodeStats& stats() const { return stats_; }
@@ -190,6 +191,13 @@ class DlNode : public runtime::Receiver {
   // consumer reads it here instead of hashing the block again. Valid
   // during the delivery callback. Home-loop only.
   const Hash& delivered_block_digest() const { return delivered_digest_; }
+  // The bytes of the block being delivered, as retrieved, shared: a
+  // consumer that reads the BlockView's payloads after the delivery
+  // callback returns keeps these alive. Valid during the delivery
+  // callback. Home-loop only.
+  const std::shared_ptr<const Bytes>& delivered_content() const {
+    return delivered_content_;
+  }
   std::uint64_t next_epoch_to_deliver() const { return deliver_next_; }
 
   // Durable storage. Call before start(): replays the store's committed
@@ -205,6 +213,7 @@ class DlNode : public runtime::Receiver {
   // --- runtime::Receiver --------------------------------------------------
   void start() override;
   void on_receive(int from, ByteView bytes) override;
+  void on_receive_local(int self, const Envelope& env) override;
 
  private:
   DLEpoch& epoch_state(std::uint64_t e);
@@ -225,11 +234,13 @@ class DlNode : public runtime::Receiver {
   bool can_start_next_epoch() const;
   Block build_block();
 
-  // Protocol reactions.
-  void handle_vid_message(int from, const Envelope& env);
-  void handle_ba_message(int from, const Envelope& env);
-  void handle_return_chunk(int from, const Envelope& env);
-  void handle_cancel(int from, const Envelope& env);
+  // Protocol reactions. on_envelope dispatches every received message,
+  // from a peer or from this node itself.
+  void on_envelope(int from, const EnvelopeView& env);
+  void handle_vid_message(int from, const EnvelopeView& env);
+  void handle_ba_message(int from, const EnvelopeView& env);
+  void handle_return_chunk(int from, const EnvelopeView& env);
+  void handle_cancel(int from, const EnvelopeView& env);
   void after_vid_activity(std::uint64_t e, int instance);
   void after_ba_activity(std::uint64_t e);
   void note_vid_complete(std::uint64_t e, int instance);
@@ -247,14 +258,18 @@ class DlNode : public runtime::Receiver {
   void recover_from_store();
   void note_activity(std::uint64_t epoch);  // persists the vote/propose floor
   void request_store_drain();
-  void handle_catch_up_request(int from, const Envelope& env);
-  void handle_catch_up_chunk(int from, const Envelope& env);
-  void handle_catch_up_done(int from, const Envelope& env);
+  void handle_catch_up_request(int from, const EnvelopeView& env);
+  void handle_catch_up_chunk(int from, const EnvelopeView& env);
+  void handle_catch_up_done(int from, const EnvelopeView& env);
   void catch_up_tick();
   void start_catch_up_round();
   void try_install_catch_up();
   void install_catch_up_block(std::uint64_t at_epoch, BlockKey key,
-                              const Bytes& content);
+                              std::shared_ptr<const Bytes> content);
+  // What deliver_block and install_catch_up_block share: stats, the
+  // fingerprint chain, the store record and the delivery callback.
+  void deliver_content(std::uint64_t at_epoch, BlockKey key,
+                       std::shared_ptr<const Bytes> content, bool bad);
 
   NodeConfig cfg_;
   runtime::Env& env_;
@@ -291,6 +306,7 @@ class DlNode : public runtime::Receiver {
   obs::FlightRecorder* flight_ = nullptr;
   Hash fingerprint_{};
   Hash delivered_digest_{};  // see delivered_block_digest()
+  std::shared_ptr<const Bytes> delivered_content_;  // see delivered_content()
 
   // --- durability + catch-up state --------------------------------------
   storage::LedgerStore* store_ = nullptr;
@@ -312,7 +328,7 @@ class DlNode : public runtime::Receiver {
     std::unique_ptr<vid::AvidMRetriever> retriever;
     bool decoding = false;
     bool have = false;
-    Bytes content;
+    std::shared_ptr<const Bytes> content;
   };
   struct CatchUpEpoch {
     std::map<int, std::uint32_t> count_claims;

@@ -5,11 +5,14 @@
 // Content sources: the node's own proposed blocks (stored locally at
 // proposal time, no network needed) and completed retrievals. Content is
 // freed once the block has been delivered — the manager is the node's
-// working set, not an archive.
+// working set, not an archive. Each block's bytes are held once, behind a
+// shared pointer, so work that outlives a delivery (an offloaded dispersal,
+// a commit batch on an ingress shard) shares them instead of copying.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
@@ -61,11 +64,16 @@ class RetrievalManager {
       : p_(p), self_(self), done_keys_(p.n) {}
 
   // Stores locally-known content (our own proposal).
-  void put_local(BlockKey key, Bytes content);
+  void put_local(BlockKey key, std::shared_ptr<const Bytes> content);
 
   // True if the block's bytes are available (retrieved or local).
   bool has(BlockKey key) const { return content_.contains(key); }
-  const Bytes& get(BlockKey key) const { return content_.at(key); }
+  const Bytes& get(BlockKey key) const { return *content_.at(key); }
+  // The same bytes, shared (null when not available).
+  std::shared_ptr<const Bytes> shared(BlockKey key) const {
+    auto it = content_.find(key);
+    return it == content_.end() ? nullptr : it->second;
+  }
   // The retrieval ended with the BAD_UPLOADER sentinel.
   bool is_bad(BlockKey key) const { return bad_.contains(key); }
   // The block's bytes, or null while missing or BAD_UPLOADER (the input
@@ -83,17 +91,18 @@ class RetrievalManager {
   std::size_t active_count() const { return active_.size(); }
 
   // Feeds one ReturnChunk. kReady means enough chunks are buffered to
-  // decode: the caller snapshots decode_job(), runs avid_m_run_decode
+  // decode: the caller takes take_decode_job(), runs avid_m_run_decode
   // (inline or offloaded), and installs the outcome via finish_decode.
   // While a decode is pending the retrieval rejects further chunks.
   enum class Feed { kNotReady, kReady };
-  Feed feed_chunk(int from, BlockKey key, const vid::ReturnChunkMsg& m);
+  Feed feed_chunk(int from, BlockKey key, const vid::ChunkView& m);
 
-  // Value snapshot of the decode inputs for a key feed_chunk reported ready.
-  vid::DecodeJob decode_job(BlockKey key) const;
+  // Moves the decode inputs out of a retrieval feed_chunk reported ready.
+  vid::DecodeJob take_decode_job(BlockKey key);
 
-  // Installs a decode outcome. Returns true if the retrieval was still live
-  // (content is now available; caller should broadcast VidCancel).
+  // Installs a decode outcome, moving the block in. Returns true if the
+  // retrieval was still live (content is now available; caller should
+  // broadcast VidCancel).
   bool finish_decode(BlockKey key, vid::DecodeResult r);
 
   // Frees the stored bytes of a delivered block.
@@ -105,7 +114,7 @@ class RetrievalManager {
   vid::Params p_;
   int self_;
   std::map<BlockKey, vid::AvidMRetriever> active_;
-  std::map<BlockKey, Bytes> content_;
+  std::map<BlockKey, std::shared_ptr<const Bytes>> content_;
   std::set<BlockKey> bad_;
   BlockKeySet done_keys_;  // everything ever completed or local
   std::uint64_t completed_ = 0;

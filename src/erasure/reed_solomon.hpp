@@ -20,15 +20,18 @@
 ///
 /// ### Data layout
 ///
-/// Encode and reconstruct stage their stripes in single contiguous buffers
-/// (one K·stripe source block, one contiguous output block) so the row
-/// kernels stream linearly; the `std::vector<Bytes>` chunk sets handed to
-/// callers are sliced out of those buffers at the end. No alignment
-/// requirements — chunk buffers may start anywhere.
+/// Chunk i < K is stripe i of the padded block (length header, block, zero
+/// padding); chunk i >= K is parity row i. Encode writes each chunk
+/// straight into its own output buffer, reading the block where it lies:
+/// there is no padded copy of the block and no staging buffer. Decode
+/// reads the chunks through views and writes each block byte once, into
+/// the returned buffer. No alignment requirements: chunk buffers may start
+/// anywhere.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -44,20 +47,40 @@ class ReedSolomon {
   int data_shards() const { return k_; }
   int total_shards() const { return n_; }
 
+  /// Size of every chunk encode() makes from a block of `block_bytes`:
+  /// ceil((block_bytes + 4) / K).
+  std::size_t chunk_size(std::size_t block_bytes) const;
+
   /// Splits `block` into K equal stripes (zero-padding the last) and returns
   /// N chunks of identical size. A 4-byte little-endian length header is
   /// prepended so decode() can strip the padding; chunk size is therefore
-  /// ceil((|block|+4) / K).
+  /// chunk_size(|block|).
   std::vector<Bytes> encode(ByteView block) const;
+
+  /// Writes bytes [off, off + len) of chunk `index` of encode(block) to
+  /// `dst`, without building any other chunk. encode() fills its chunks
+  /// this way; a retriever uses it to re-create only the chunks it did not
+  /// receive. Requires off + len <= chunk_size(|block|).
+  void encode_chunk_range(ByteView block, int index, std::size_t off,
+                          std::size_t len, std::uint8_t* dst) const;
 
   /// Encodes raw shards (no length header, no padding logic): `shards` must
   /// contain exactly K equal-length stripes; returns all N chunks.
   std::vector<Bytes> encode_shards(const std::vector<Bytes>& data) const;
 
-  /// Reconstructs the original block from any K chunks. `chunks[i]` is
-  /// either the i-th chunk or empty (missing). Returns std::nullopt if
-  /// fewer than K chunks are present, sizes mismatch, or the length header
-  /// is implausible.
+  /// Reconstructs the original block from any K chunks. `chunks` has N
+  /// entries; `chunks[i]` views the i-th chunk or is empty (missing). The
+  /// first K present chunks are used. Returns std::nullopt if fewer than K
+  /// chunks are present, their sizes differ, or the length header is
+  /// implausible.
+  ///
+  /// When `canonical` is non-null it is set to whether the K chunks used are
+  /// exactly the chunks encode() makes from the result at those indices: a
+  /// chunk size of chunk_size(|result|) and all-zero padding. Then, and
+  /// only then, re-encoding the result gives back the chunks received.
+  std::optional<Bytes> decode(std::span<const ByteView> chunks,
+                              bool* canonical = nullptr) const;
+  /// decode() over views of `chunks` (empty = missing).
   std::optional<Bytes> decode(const std::vector<Bytes>& chunks) const;
 
   /// Reconstructs all N raw shards from any K present shards (for tests and
@@ -65,11 +88,7 @@ class ReedSolomon {
   std::optional<std::vector<Bytes>> reconstruct_shards(
       const std::vector<Bytes>& chunks) const;
 
-  /// Reconstructs only the K data shards — skips re-deriving the N-K parity
-  /// rows that a caller assembling the original block never reads. This is
-  /// the decode() hot path: when all data chunks survive it degenerates to
-  /// a copy, and otherwise it costs one K×K solve instead of a solve plus a
-  /// full re-encode.
+  /// Reconstructs only the K data shards, skipping the N-K parity rows.
   std::optional<std::vector<Bytes>> reconstruct_data_shards(
       const std::vector<Bytes>& chunks) const;
 
@@ -77,15 +96,6 @@ class ReedSolomon {
   std::uint8_t matrix_at(int r, int c) const;
 
  private:
-  // Solves for the K data stripes into the contiguous buffer `dst`
-  // (K*stripe bytes, with `stripe` from stripe_of()). Returns false if
-  // fewer than K chunks are present or sizes mismatch.
-  bool reconstruct_data_into(const std::vector<Bytes>& chunks,
-                             std::uint8_t* dst, std::size_t stripe) const;
-
-  // Validates chunk sizes and returns the stripe size (0 = unusable set).
-  std::size_t stripe_of(const std::vector<Bytes>& chunks) const;
-
   int k_;
   int n_;
   // Row-major N×K encoding matrix; top K×K block is identity.

@@ -21,6 +21,11 @@ Hash inner_hash(const Hash& l, const Hash& r) {
 
 Hash merkle_leaf_hash(ByteView leaf) { return sha256_tagged(0x00, leaf); }
 
+MerkleLeafHasher::MerkleLeafHasher() {
+  const std::uint8_t tag = 0x00;
+  h_.update(ByteView(&tag, 1));
+}
+
 std::vector<Hash> merkle_leaf_hashes(const std::vector<Bytes>& leaves) {
   std::vector<Hash> out;
   out.reserve(leaves.size());
@@ -31,9 +36,16 @@ std::vector<Hash> merkle_leaf_hashes(const std::vector<Bytes>& leaves) {
 }
 
 MerkleTree::MerkleTree(const std::vector<Bytes>& leaves)
-    : leaf_count_(static_cast<std::uint32_t>(leaves.size())) {
-  if (leaves.empty()) throw std::invalid_argument("MerkleTree: no leaves");
-  levels_.push_back(merkle_leaf_hashes(leaves));
+    : MerkleTree(FromHashes{}, merkle_leaf_hashes(leaves)) {}
+
+MerkleTree MerkleTree::from_leaf_hashes(std::vector<Hash> leaf_hashes) {
+  return MerkleTree(FromHashes{}, std::move(leaf_hashes));
+}
+
+MerkleTree::MerkleTree(FromHashes, std::vector<Hash> leaf_hashes)
+    : leaf_count_(static_cast<std::uint32_t>(leaf_hashes.size())) {
+  if (leaf_hashes.empty()) throw std::invalid_argument("MerkleTree: no leaves");
+  levels_.push_back(std::move(leaf_hashes));
   while (levels_.back().size() > 1) {
     const std::vector<Hash>& prev = levels_.back();
     std::vector<Hash> next;
@@ -64,15 +76,16 @@ MerkleProof MerkleTree::prove(std::uint32_t index) const {
 }
 
 bool merkle_verify(const Hash& root, ByteView leaf, const MerkleProof& proof) {
+  return merkle_verify_hash(root, merkle_leaf_hash(leaf), proof);
+}
+
+bool merkle_verify_hash(const Hash& root, const Hash& leaf_hash,
+                        const MerkleProof& proof) {
   if (proof.leaf_count == 0 || proof.index >= proof.leaf_count) return false;
   // Depth must match the tree shape for this leaf count.
-  std::size_t expected_depth = 0;
-  for (std::size_t width = proof.leaf_count; width > 1; width = (width + 1) / 2) {
-    ++expected_depth;
-  }
-  if (proof.siblings.size() != expected_depth) return false;
+  if (proof.siblings.size() != MerkleProof::depth_for(proof.leaf_count)) return false;
 
-  Hash acc = merkle_leaf_hash(leaf);
+  Hash acc = leaf_hash;
   std::size_t i = proof.index;
   std::size_t width = proof.leaf_count;
   for (const Hash& sib : proof.siblings) {
@@ -94,12 +107,22 @@ Hash merkle_root(const std::vector<Bytes>& leaves) {
 }
 
 Bytes MerkleProof::encode() const {
-  Writer w;
+  Writer w(encoded_size());
+  encode_into(w);
+  return std::move(w).take();
+}
+
+void MerkleProof::encode_into(Writer& w) const {
   w.u32(index);
   w.u32(leaf_count);
   w.u8(static_cast<std::uint8_t>(siblings.size()));
   for (const Hash& h : siblings) w.raw(h.view());
-  return std::move(w).take();
+}
+
+std::size_t MerkleProof::depth_for(std::uint32_t leaf_count) {
+  std::size_t depth = 0;
+  for (std::size_t width = leaf_count; width > 1; width = (width + 1) / 2) ++depth;
+  return depth;
 }
 
 bool MerkleProof::decode(ByteView in, MerkleProof& out) {
@@ -110,7 +133,7 @@ bool MerkleProof::decode(ByteView in, MerkleProof& out) {
   if (!r.ok() || n > 64) return false;
   out.siblings.assign(n, Hash{});
   for (std::uint8_t i = 0; i < n; ++i) {
-    Bytes raw = r.raw(32);
+    const ByteView raw = r.raw(32);
     if (!r.ok()) return false;
     std::copy(raw.begin(), raw.end(), out.siblings[i].v.begin());
   }

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/buffer_recycler.hpp"
 #include "common/rng.hpp"
 #include "net/socket_util.hpp"
 
@@ -252,7 +253,7 @@ TcpEnv::OutFrame TcpEnv::make_data_frame(Envelope&& env, std::uint64_t tag) {
   f.header_len =
       static_cast<std::uint8_t>(encode_data_frame_header(env, f.header.data()));
   if (!env.body.empty()) {
-    f.body = std::make_shared<const Bytes>(std::move(env.body));
+    f.body = share_buffer(std::move(env.body));
   }
   f.tag = tag;
   return f;
@@ -264,8 +265,12 @@ void TcpEnv::send(int to, const Envelope& env, const runtime::SendOpts& opts) {
 
 void TcpEnv::send(int to, Envelope&& env, const runtime::SendOpts& opts) {
   if (to == self_) {
-    // Loopback needs a contiguous envelope; no wire framing involved.
-    deliver_local(std::make_shared<const Bytes>(env.encode()));
+    // Loopback hands the envelope over as is: no encoding, no copy. Posted
+    // like every other delivery, so the receiver is never re-entered from
+    // inside its own send path.
+    loop_.post([this, env = std::move(env)] {
+      if (receiver_ != nullptr) receiver_->on_receive_local(self_, env);
+    });
     return;
   }
   OutFrame f = make_data_frame(std::move(env), opts.tag);
@@ -286,7 +291,7 @@ void TcpEnv::broadcast(Envelope&& env, const runtime::SendOpts& opts) {
   // Encode once: loopback delivery needs the contiguous envelope anyway, and
   // every peer's queue entry then shares that same buffer behind a 5-byte
   // per-peer frame prefix — no per-peer body copies.
-  auto env_bytes = std::make_shared<const Bytes>(env.encode());
+  auto env_bytes = share_buffer(env.encode());
   deliver_local(env_bytes);
   OutFrame proto;
   proto.header_len = kDataPayloadOffset;  // frame length + wire kind

@@ -81,7 +81,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     NodeResult* res = &result.nodes[static_cast<std::size_t>(i)];
     const int self = i;
     raw->set_delivery_callback([res, self, &sim](std::uint64_t, core::BlockKey,
-                                                 const core::Block& b, double now) {
+                                                 const core::BlockView& b, double now) {
       for (const auto& tx : b.txs) {
         const double lat = now - tx.submit_time;
         res->latency_all.add(lat);

@@ -84,6 +84,11 @@ class Receiver {
   virtual ~Receiver() = default;
   virtual void start() {}
   virtual void on_receive(int from, ByteView bytes) = 0;
+  // A message this node sent to itself, handed over without the wire
+  // encoding. The default encodes it for on_receive.
+  virtual void on_receive_local(int self, const Envelope& env) {
+    on_receive(self, env.encode());
+  }
 };
 
 class Env {

@@ -109,7 +109,8 @@ bool parse_payload(ByteView payload, ParsedRecord& out) {
       out.block.proposer = r.u32();
       std::uint8_t flags = r.u8();
       out.block.bad_uploader = (flags & 0x1u) != 0;
-      out.block.content = r.bytes();
+      const ByteView content = r.bytes();
+      out.block.content.assign(content.begin(), content.end());
       return r.done() && (flags & ~0x1u) == 0;
     }
     case kRecEpochDone:
@@ -422,7 +423,7 @@ std::pair<std::uint64_t, std::uint64_t> LedgerStore::stage_locked(
 }
 
 void LedgerStore::append_block(const BlockRecord& rec) {
-  Writer w;
+  Writer w(1 + 8 + 8 + 4 + 1 + 4 + rec.content.size());
   w.u8(kRecBlock);
   w.u64(rec.at_epoch);
   w.u64(rec.block_epoch);

@@ -1,6 +1,10 @@
 #include "vid/avid_m.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "common/buffer_recycler.hpp"
+#include "common/serial.hpp"
 
 namespace dl::vid {
 
@@ -25,18 +29,45 @@ OutMsg unicast(int to, MsgKind kind, Bytes body) {
 
 }  // namespace
 
-std::vector<ChunkMsg> avid_m_disperse(const Params& p, ByteView block) {
+std::vector<Bytes> avid_m_disperse_bodies(const Params& p, ByteView block) {
   const ReedSolomon rs(p.data_shards(), p.n);
-  std::vector<Bytes> chunks = rs.encode(block);
-  const MerkleTree tree(chunks);
+  const std::size_t stripe = rs.chunk_size(block.size());
+  const auto n = static_cast<std::uint32_t>(p.n);
+  const std::size_t proof_bytes = 9 + 32 * MerkleProof::depth_for(n);
+  // Laid out as ChunkMsg::encode lays it out. The root leads each body but
+  // is known only once every chunk is hashed, so it is written last.
+  std::vector<Writer> bodies;
+  bodies.reserve(n);
+  std::vector<Hash> leaves(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    Writer& w = bodies.emplace_back(32 + 4 + stripe + 4 + proof_bytes);
+    w.raw(Hash{}.view());
+    w.u32(static_cast<std::uint32_t>(stripe));
+    std::uint8_t* chunk = w.skip(stripe);
+    rs.encode_chunk_range(block, static_cast<int>(i), 0, stripe, chunk);
+    leaves[i] = merkle_leaf_hash(ByteView(chunk, stripe));
+  }
+  const MerkleTree tree = MerkleTree::from_leaf_hashes(std::move(leaves));
+  std::vector<Bytes> out;
+  out.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const MerkleProof proof = tree.prove(i);
+    Writer& w = bodies[i];
+    w.u32(static_cast<std::uint32_t>(proof.encoded_size()));
+    proof.encode_into(w);
+    Bytes body = std::move(w).take();
+    std::copy(tree.root().v.begin(), tree.root().v.end(), body.begin());
+    out.push_back(std::move(body));
+  }
+  return out;
+}
+
+std::vector<ChunkMsg> avid_m_disperse(const Params& p, ByteView block) {
   std::vector<ChunkMsg> out;
-  out.reserve(static_cast<std::size_t>(p.n));
-  for (int i = 0; i < p.n; ++i) {
-    ChunkMsg m;
-    m.root = tree.root();
-    m.chunk = std::move(chunks[static_cast<std::size_t>(i)]);
-    m.proof = tree.prove(static_cast<std::uint32_t>(i));
-    out.push_back(std::move(m));
+  for (const Bytes& body : avid_m_disperse_bodies(p, block)) {
+    ChunkView v;
+    ChunkView::decode(body, v);
+    out.push_back(ChunkMsg::from(v));
   }
   return out;
 }
@@ -54,25 +85,25 @@ AvidMServer::AvidMServer(Params p, int self, int proposer)
   }
 }
 
-void AvidMServer::handle_chunk(const ChunkMsg& m, Outbox& out) {
-  if (released_ || my_chunk_.has_value()) return;  // first valid Chunk wins
+void AvidMServer::handle_chunk(const ChunkView& m, Outbox& out) {
+  if (released_ || my_body_.has_value()) return;  // first valid Chunk wins
   if (m.proof.index != static_cast<std::uint32_t>(self_) ||
       m.proof.leaf_count != static_cast<std::uint32_t>(p_.n)) {
     return;
   }
   if (!merkle_verify(m.root, m.chunk, m.proof)) return;
-  my_chunk_ = m;
+  // The server's one copy of its chunk, kept as the ReturnChunk body that
+  // serves it.
+  my_body_ = m.encode();
+  my_root_ = m.root;
+  my_chunk_bytes_ = m.chunk.size();
   if (!sent_got_chunk_) {
     sent_got_chunk_ = true;
     out.push_back(broadcast(MsgKind::VidGotChunk, RootMsg{m.root}.encode()));
   }
   // If dispersal already completed with our root, late requesters can now
   // be served.
-  if (complete_ && my_chunk_->root == chunk_root_) {
-    auto pending = std::move(deferred_requests_);
-    deferred_requests_.clear();
-    for (int requester : pending) serve(requester, out);
-  }
+  if (complete_ && my_root_ == chunk_root_) serve_deferred(out);
   maybe_release();
 }
 
@@ -98,9 +129,7 @@ void AvidMServer::handle_ready(int from, const RootMsg& m, Outbox& out) {
     complete_ = true;
     chunk_root_ = m.root;
     // Serve requests deferred while dispersal was incomplete.
-    auto pending = std::move(deferred_requests_);
-    deferred_requests_.clear();
-    for (int requester : pending) serve(requester, out);
+    serve_deferred(out);
     maybe_release();
   }
 }
@@ -118,17 +147,19 @@ void AvidMServer::handle_request_chunk(int from, Outbox& out) {
   }
   request_seen_[static_cast<std::size_t>(from)] = true;
   if (from != proposer_) ++requests_counted_;
-  serve(from, out);
+  serve(from, out, releasable());
   maybe_release();
 }
 
+bool AvidMServer::releasable() const {
+  return !released_ && complete_ && my_body_.has_value() &&
+         requests_counted_ >= requests_needed_;
+}
+
 void AvidMServer::maybe_release() {
-  if (released_ || !complete_ || !my_chunk_.has_value() ||
-      requests_counted_ < requests_needed_) {
-    return;
-  }
+  if (!releasable()) return;
   released_ = true;
-  my_chunk_.reset();
+  my_body_.reset();
   // Dispersal bookkeeping is dead too: complete_ and sent_ready_ already
   // hold, so no GotChunk/Ready could make this server send anything.
   share_count_.clear();
@@ -136,23 +167,34 @@ void AvidMServer::maybe_release() {
   deferred_requests_.clear();
 }
 
-void AvidMServer::serve(int requester, Outbox& out) {
+void AvidMServer::serve(int requester, Outbox& out, bool last) {
   // Fig. 4: respond only when complete and MyRoot == ChunkRoot; defer
   // otherwise. A server whose chunk is under a different root can never
   // serve this instance.
-  if (!complete_ || !my_chunk_.has_value()) {
+  if (!complete_ || !my_body_.has_value()) {
     deferred_requests_.push_back(requester);
     return;
   }
-  if (my_chunk_->root != chunk_root_) return;
-  out.push_back(unicast(requester, MsgKind::VidReturnChunk, my_chunk_->encode()));
+  if (my_root_ != chunk_root_) return;
+  // The answer that releases the chunk takes the kept body itself; the
+  // others get a copy of it.
+  out.push_back(unicast(requester, MsgKind::VidReturnChunk,
+                        last ? std::move(*my_body_) : copy_buffer(*my_body_)));
+}
+
+void AvidMServer::serve_deferred(Outbox& out) {
+  const std::vector<int> pending = std::move(deferred_requests_);
+  deferred_requests_.clear();
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    serve(pending[i], out, i + 1 == pending.size() && releasable());
+  }
 }
 
 bool AvidMServer::handle(int from, MsgKind kind, ByteView body, Outbox& out) {
   switch (kind) {
     case MsgKind::VidChunk: {
-      ChunkMsg m;
-      if (!ChunkMsg::decode(body, m)) return false;
+      ChunkView m;
+      if (!ChunkView::decode(body, m)) return false;
       handle_chunk(m, out);
       return true;
     }
@@ -183,29 +225,52 @@ void AvidMRetriever::begin(Outbox& out) {
   out.push_back(broadcast(MsgKind::VidRequestChunk, {}));
 }
 
+DecodeJob::~DecodeJob() {
+  for (Bytes& slot : slots) recycle_buffer(std::move(slot));
+}
+
 DecodeResult avid_m_run_decode(const DecodeJob& job) {
   const ReedSolomon rs(job.p.data_shards(), job.p.n);
   DecodeResult out;
-  std::optional<Bytes> block = rs.decode(job.slots);
-  if (!block.has_value()) {
-    // Ragged or structurally invalid chunk set: provably inconsistent
-    // encoding, same verdict as a failed re-encode check.
-    out.bad_uploader = true;
-    out.block = bytes_of(kBadUploader);
-    return out;
+  out.bad_uploader = true;
+  out.block = bytes_of(kBadUploader);
+  const std::vector<ByteView> views(job.slots.begin(), job.slots.end());
+  bool canonical = false;
+  std::optional<Bytes> block = rs.decode(views, &canonical);
+  // A ragged, structurally invalid or non-canonical chunk set is provably
+  // inconsistent: the same verdict as a failed re-encode check.
+  if (!block.has_value() || !canonical) return out;
+
+  // The AVID-M check: re-encode and compare Merkle roots (Fig. 4, steps
+  // 2-4). The first K present chunks are the ones decode used; every other
+  // leaf is re-created from the block and hashed.
+  std::vector<Hash> leaves(static_cast<std::size_t>(job.p.n));
+  const std::size_t stripe = rs.chunk_size(block->size());
+  int used = 0;
+  for (int i = 0; i < job.p.n; ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    if (used < job.p.data_shards() && !job.slots[idx].empty()) {
+      leaves[idx] = job.leaves[idx];
+      ++used;
+      continue;
+    }
+    MerkleLeafHasher h;
+    std::uint8_t tile[4096];
+    for (std::size_t off = 0; off < stripe; off += sizeof tile) {
+      const std::size_t len = std::min(sizeof tile, stripe - off);
+      rs.encode_chunk_range(*block, i, off, len, tile);
+      h.update(ByteView(tile, len));
+    }
+    leaves[idx] = h.finalize();
   }
-  // The AVID-M check: re-encode and compare Merkle roots (Fig. 4, steps 2-4).
-  const std::vector<Bytes> reencoded = rs.encode(*block);
-  if (merkle_root(reencoded) == job.root) {
+  if (MerkleTree::from_leaf_hashes(std::move(leaves)).root() == job.root) {
+    out.bad_uploader = false;
     out.block = std::move(*block);
-  } else {
-    out.bad_uploader = true;
-    out.block = bytes_of(kBadUploader);
   }
   return out;
 }
 
-bool AvidMRetriever::offer_chunk(int from, const ReturnChunkMsg& m) {
+bool AvidMRetriever::offer_chunk(int from, const ChunkView& m) {
   if (done_ || decoding_ || from < 0 || from >= p_.n ||
       seen_[static_cast<std::size_t>(from)]) {
     return false;
@@ -214,12 +279,22 @@ bool AvidMRetriever::offer_chunk(int from, const ReturnChunkMsg& m) {
       m.proof.leaf_count != static_cast<std::uint32_t>(p_.n)) {
     return false;
   }
-  if (!merkle_verify(m.root, m.chunk, m.proof)) return false;
+  const Hash leaf = merkle_leaf_hash(m.chunk);
+  if (!merkle_verify_hash(m.root, leaf, m.proof)) return false;
   seen_[static_cast<std::size_t>(from)] = true;
 
-  auto& per_root = chunks_[m.root];
-  per_root.emplace(from, m.chunk);
-  if (static_cast<int>(per_root.size()) < p_.data_shards()) return false;
+  auto [it, fresh] = per_root_.try_emplace(m.root);
+  PerRoot& pr = it->second;
+  if (fresh) {
+    pr.job.p = p_;
+    pr.job.root = m.root;
+    pr.job.slots.resize(static_cast<std::size_t>(p_.n));
+    pr.job.leaves.resize(static_cast<std::size_t>(p_.n));
+  }
+  // The one copy of an accepted chunk; it moves on into the decode job.
+  pr.job.slots[static_cast<std::size_t>(from)] = copy_buffer(m.chunk);
+  pr.job.leaves[static_cast<std::size_t>(from)] = leaf;
+  if (++pr.count < p_.data_shards()) return false;
 
   // Enough chunks share this root: freeze and decode (possibly off-loop).
   decoding_ = true;
@@ -227,15 +302,10 @@ bool AvidMRetriever::offer_chunk(int from, const ReturnChunkMsg& m) {
   return true;
 }
 
-DecodeJob AvidMRetriever::make_decode_job() const {
-  DecodeJob job;
-  job.p = p_;
-  job.root = chunk_root_;
-  job.slots.resize(static_cast<std::size_t>(p_.n));
-  const auto& per_root = chunks_.at(chunk_root_);
-  for (const auto& [idx, chunk] : per_root) {
-    job.slots[static_cast<std::size_t>(idx)] = chunk;
-  }
+DecodeJob AvidMRetriever::take_decode_job() {
+  DecodeJob job = std::move(per_root_.at(chunk_root_).job);
+  // Frozen until complete(), and done after it: no other root can decode.
+  per_root_.clear();
   return job;
 }
 
@@ -246,8 +316,8 @@ void AvidMRetriever::complete(DecodeResult r) {
   result_ = std::move(r.block);
 }
 
-void AvidMRetriever::handle_return_chunk(int from, const ReturnChunkMsg& m) {
-  if (offer_chunk(from, m)) complete(avid_m_run_decode(make_decode_job()));
+void AvidMRetriever::handle_return_chunk(int from, const ChunkView& m) {
+  if (offer_chunk(from, m)) complete(avid_m_run_decode(take_decode_job()));
 }
 
 }  // namespace dl::vid

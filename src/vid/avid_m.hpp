@@ -5,8 +5,8 @@
 // append outgoing messages to an Outbox, so the same code runs under unit
 // tests and the network simulator.
 //
-//   avid_m_disperse()  — client side of Disperse(B): encode, build the
-//                        Merkle tree, emit one Chunk message per server.
+//   avid_m_disperse_bodies() — client side of Disperse(B): encode, build
+//                        the Merkle tree, emit one Chunk body per server.
 //   AvidMServer        — server side (Fig. 3) plus the Retrieve handler
 //                        (Fig. 4 bottom): counts GotChunk/Ready, Completes,
 //                        stores its chunk, and serves ReturnChunk (deferring
@@ -18,6 +18,11 @@
 //                        same root, then RE-ENCODES and checks the root —
 //                        the key AVID-M idea (encoding verified at retrieval,
 //                        not dispersal). On mismatch returns BAD_UPLOADER.
+//
+// Buffer ownership: handlers take received chunks as ChunkViews into the
+// message. A chunk is copied once, where it is kept: the server's own chunk,
+// and each chunk a retriever accepts. The accepted chunks then move into
+// the DecodeJob, which owns everything a worker thread reads.
 //
 // The caller assigns epoch/instance ids when wrapping bodies in Envelopes.
 #pragma once
@@ -41,8 +46,12 @@ struct Params {
   int data_shards() const { return n - 2 * f; }
 };
 
-// Client-side Disperse(B): produces the per-server Chunk bodies
-// (index i of the result goes to server i).
+// Client-side Disperse(B): the encoded Chunk body for each server (index i
+// of the result goes to server i). Each chunk is erasure-coded straight
+// into its body, so a chunk is written once and never copied.
+std::vector<Bytes> avid_m_disperse_bodies(const Params& p, ByteView block);
+// The same dispersal as decoded messages, for callers that inspect or
+// tamper with the chunks.
 std::vector<ChunkMsg> avid_m_disperse(const Params& p, ByteView block);
 
 class AvidMServer {
@@ -54,7 +63,7 @@ class AvidMServer {
 
   // Dispersal handlers (Fig. 3). `out` receives broadcasts/sends whose
   // envelope the caller completes with epoch/instance ids.
-  void handle_chunk(const ChunkMsg& m, Outbox& out);
+  void handle_chunk(const ChunkView& m, Outbox& out);
   void handle_got_chunk(int from, const RootMsg& m, Outbox& out);
   void handle_ready(int from, const RootMsg& m, Outbox& out);
 
@@ -69,7 +78,7 @@ class AvidMServer {
   bool complete() const { return complete_; }
   // Root agreed at completion (valid once complete()).
   const Hash& chunk_root() const { return chunk_root_; }
-  bool has_chunk() const { return my_chunk_.has_value(); }
+  bool has_chunk() const { return my_body_.has_value(); }
 
   // Release: the server is complete, holds a chunk, and has answered every
   // node that may fetch it (a chunk under a root other than the agreed one
@@ -80,12 +89,18 @@ class AvidMServer {
   bool released() const { return released_; }
   // Chunk bytes held for peers that have not fetched them yet.
   std::size_t retained_bytes() const {
-    return my_chunk_.has_value() ? my_chunk_->chunk.size() : 0;
+    return my_body_.has_value() ? my_chunk_bytes_ : 0;
   }
 
  private:
   void maybe_send_ready(const Hash& r, Outbox& out);
-  void serve(int requester, Outbox& out);
+  // Answers `requester`, or defers it. `last`: this answer lets the server
+  // release, so it may take the kept body instead of a copy (maybe_release
+  // must follow).
+  void serve(int requester, Outbox& out, bool last);
+  void serve_deferred(Outbox& out);
+  // Complete, holding a chunk, and every node that may fetch it has asked.
+  bool releasable() const;
   void maybe_release();
 
   Params p_;
@@ -93,7 +108,10 @@ class AvidMServer {
   int proposer_;
   int requests_needed_;  // distinct requesters before release
 
-  std::optional<ChunkMsg> my_chunk_;  // MyChunk/MyProof/MyRoot
+  // MyChunk/MyProof as the encoded ReturnChunk body, and MyRoot.
+  std::optional<Bytes> my_body_;
+  Hash my_root_;
+  std::size_t my_chunk_bytes_ = 0;
   std::map<Hash, int> share_count_;   // ShareCount[r]
   std::map<Hash, int> ready_count_;   // ReadyCount[r]
   std::vector<bool> got_chunk_seen_;  // per-sender dedup
@@ -112,9 +130,17 @@ class AvidMServer {
 // value, so avid_m_run_decode() may run on a worker thread while the
 // retriever lives on (and keeps rejecting chunks) on the home loop.
 struct DecodeJob {
+  DecodeJob() = default;
+  DecodeJob(DecodeJob&&) = default;
+  DecodeJob& operator=(DecodeJob&&) = default;
+  // Hands the chunk buffers back for reuse (common/buffer_recycler.hpp).
+  ~DecodeJob();
+
   Params p;
   Hash root;
   std::vector<Bytes> slots;  // indexed by server id; empty = missing
+  // merkle_leaf_hash of each present slot, already verified under `root`.
+  std::vector<Hash> leaves;
 };
 
 struct DecodeResult {
@@ -124,6 +150,12 @@ struct DecodeResult {
 
 // Decode from the collected chunks, then RE-ENCODE and check the Merkle
 // root — the AVID-M verification (Fig. 4, steps 2-4). Pure function.
+//
+// The chunks decode used re-encode to themselves exactly when they are
+// canonical (ReedSolomon::decode), so their verified leaf hashes stand in
+// for re-hashing them: only the chunks not used are re-created, a tile at
+// a time, and hashed. A non-canonical set is BAD_UPLOADER, as the full
+// re-encode would find (a used chunk would differ from its re-encoding).
 DecodeResult avid_m_run_decode(const DecodeJob& job);
 
 class AvidMRetriever {
@@ -135,16 +167,17 @@ class AvidMRetriever {
 
   // Feeds one ReturnChunk; ignores invalid proofs and duplicate senders.
   // Decodes inline once N−2f chunks share a root (single-threaded path).
-  void handle_return_chunk(int from, const ReturnChunkMsg& m);
+  void handle_return_chunk(int from, const ChunkView& m);
 
   // Split pipeline for offloaded decoding:
-  //   offer_chunk()      — buffer a verified chunk; true once enough chunks
-  //                        share a root (the retriever then stops accepting
-  //                        chunks until complete()).
-  //   make_decode_job()  — value snapshot of the decode inputs.
+  //   offer_chunk()      — verify a chunk and keep a copy of it; true once
+  //                        enough chunks share a root (the retriever then
+  //                        stops accepting chunks until complete()).
+  //   take_decode_job()  — moves the decode inputs out; call once after
+  //                        offer_chunk() returned true.
   //   complete()         — install the outcome; done() becomes true.
-  bool offer_chunk(int from, const ReturnChunkMsg& m);
-  DecodeJob make_decode_job() const;
+  bool offer_chunk(int from, const ChunkView& m);
+  DecodeJob take_decode_job();
   void complete(DecodeResult r);
 
   bool done() const { return done_; }
@@ -158,7 +191,12 @@ class AvidMRetriever {
  private:
   Params p_;
   int self_;
-  std::map<Hash, std::map<int, Bytes>> chunks_;  // root -> (server -> chunk)
+  // Accepted chunks by root, each gathered into the job it would decode.
+  struct PerRoot {
+    DecodeJob job;
+    int count = 0;  // chunks accepted under this root
+  };
+  std::map<Hash, PerRoot> per_root_;
   std::vector<bool> seen_;
   bool decoding_ = false;  // decode job handed out, outcome pending
   bool done_ = false;

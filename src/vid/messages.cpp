@@ -7,7 +7,7 @@ namespace dl::vid {
 namespace {
 
 bool read_hash(Reader& r, Hash& out) {
-  Bytes raw = r.raw(32);
+  const ByteView raw = r.raw(32);
   if (!r.ok()) return false;
   std::copy(raw.begin(), raw.end(), out.v.begin());
   return true;
@@ -15,25 +15,30 @@ bool read_hash(Reader& r, Hash& out) {
 
 }  // namespace
 
-Bytes ChunkMsg::encode() const {
-  Writer w;
+Bytes ChunkView::encode() const {
+  Writer w(32 + 4 + chunk.size() + 4 + proof.encoded_size());
   w.raw(root.view());
   w.bytes(chunk);
-  w.bytes(proof.encode());
+  w.u32(static_cast<std::uint32_t>(proof.encoded_size()));
+  proof.encode_into(w);
   return std::move(w).take();
 }
 
-bool ChunkMsg::decode(ByteView in, ChunkMsg& out) {
+ChunkMsg ChunkMsg::from(const ChunkView& v) {
+  return ChunkMsg{v.root, Bytes(v.chunk.begin(), v.chunk.end()), v.proof};
+}
+
+bool ChunkView::decode(ByteView in, ChunkView& out) {
   Reader r(in);
   if (!read_hash(r, out.root)) return false;
   out.chunk = r.bytes();
-  const Bytes proof_raw = r.bytes();
+  const ByteView proof_raw = r.bytes();
   if (!r.done()) return false;
   return MerkleProof::decode(proof_raw, out.proof);
 }
 
 Bytes RootMsg::encode() const {
-  Writer w;
+  Writer w(32);
   w.raw(root.view());
   return std::move(w).take();
 }
@@ -53,8 +58,9 @@ Bytes FpChunkMsg::encode() const {
 
 bool FpChunkMsg::decode(ByteView in, FpChunkMsg& out) {
   Reader r(in);
-  out.chunk = r.bytes();
-  const Bytes cc = r.bytes();
+  const ByteView chunk = r.bytes();
+  out.chunk.assign(chunk.begin(), chunk.end());
+  const ByteView cc = r.bytes();
   if (!r.done()) return false;
   return CrossChecksum::decode(cc, out.checksum);
 }
@@ -67,7 +73,7 @@ Bytes FpChecksumMsg::encode() const {
 
 bool FpChecksumMsg::decode(ByteView in, FpChecksumMsg& out) {
   Reader r(in);
-  const Bytes cc = r.bytes();
+  const ByteView cc = r.bytes();
   if (!r.done()) return false;
   return CrossChecksum::decode(cc, out.checksum);
 }

@@ -3,11 +3,32 @@
 // and Byzantine (equivocating / inconsistently-encoding) dispersers.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+
 #include "automaton_harness.hpp"
 #include "common/rng.hpp"
 #include "erasure/reed_solomon.hpp"
 #include "merkle/merkle_tree.hpp"
 #include "vid/avid_m.hpp"
+
+// Counts the block-sized heap allocations of this test binary, so a test
+// can bound what one retrieval allocates.
+namespace {
+std::size_t g_big_alloc_threshold = 0;  // 0: not counting
+std::size_t g_big_allocs = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_big_alloc_threshold != 0 && n >= g_big_alloc_threshold) ++g_big_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// Not inlined, so the compiler never pairs this free() with the new above.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace dl::vid {
 namespace {
@@ -29,8 +50,8 @@ struct Cluster {
     router.set_handler([this](int from, int to, const Envelope& env) {
       Outbox out;
       if (env.kind == MsgKind::VidReturnChunk) {
-        ReturnChunkMsg m;
-        if (ReturnChunkMsg::decode(env.body, m)) {
+        ChunkView m;
+        if (ChunkView::decode(env.body, m)) {
           retrievers[static_cast<std::size_t>(to)].handle_return_chunk(from, m);
         }
         return;
@@ -325,10 +346,10 @@ TEST(AvidMRelease, LastRequesterStillGetsAValidChunk) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].to, 3);
   EXPECT_EQ(out[0].env.kind, MsgKind::VidReturnChunk);
-  ReturnChunkMsg m;
-  ASSERT_TRUE(ReturnChunkMsg::decode(out[0].env.body, m));
+  ChunkView m;
+  ASSERT_TRUE(ChunkView::decode(out[0].env.body, m));
   EXPECT_EQ(m.root, fx.chunks[0].root);
-  EXPECT_EQ(m.chunk, fx.chunks[1].chunk);
+  EXPECT_EQ(Bytes(m.chunk.begin(), m.chunk.end()), fx.chunks[1].chunk);
   EXPECT_TRUE(merkle_verify(m.root, m.chunk, m.proof));
   EXPECT_TRUE(fx.server.released());
 }
@@ -407,6 +428,154 @@ TEST(AvidM, DisperseChunkCount) {
   }
   // Chunk size ~ |B| / (N-2f) + header.
   EXPECT_EQ(msgs[0].chunk.size(), (10000u + 4 + 5) / 6);
+}
+
+// --- retrieval work --------------------------------------------------------
+
+// Chunk messages for `block`, with chunk `bad` (if >= 0) altered and the
+// Merkle tree rebuilt over the altered set: every chunk verifies, but the
+// set is not a Reed-Solomon codeword.
+std::vector<ChunkMsg> disperse_with_bad_chunk(const Params& p, ByteView block,
+                                              int bad) {
+  const ReedSolomon rs(p.data_shards(), p.n);
+  std::vector<Bytes> chunks = rs.encode(block);
+  if (bad >= 0) chunks[static_cast<std::size_t>(bad)][7] ^= 0x5A;
+  const MerkleTree tree(chunks);
+  std::vector<ChunkMsg> out;
+  for (int i = 0; i < p.n; ++i) {
+    out.push_back(ChunkMsg{tree.root(), chunks[static_cast<std::size_t>(i)],
+                           tree.prove(static_cast<std::uint32_t>(i))});
+  }
+  return out;
+}
+
+// Feeds the chunks at `indices` to a fresh retriever and returns it.
+AvidMRetriever retrieve_from(const Params& p, const std::vector<ChunkMsg>& msgs,
+                             const std::vector<int>& indices) {
+  AvidMRetriever r(p, 0);
+  for (const int i : indices) {
+    r.handle_return_chunk(i, msgs[static_cast<std::size_t>(i)]);
+  }
+  return r;
+}
+
+// SHA-256 compressions of a tagged hash over `n` bytes.
+std::uint64_t tagged_compressions(std::size_t n) { return (n + 1 + 9 + 63) / 64; }
+
+TEST(AvidMDecode, HashesOnlyTheRecreatedLeaves) {
+  const Params p{7, 2};  // K = 3
+  const Bytes block = random_bytes(90'000, 31);
+  const auto msgs = avid_m_disperse(p, block);
+  const std::size_t chunk = msgs[0].chunk.size();
+
+  std::uint64_t before = sha256_compressions();
+  (void)MerkleTree::from_leaf_hashes(std::vector<Hash>(7));
+  const std::uint64_t inner = sha256_compressions() - before;
+
+  // Data and parity chunks received, in either order.
+  for (const std::vector<int>& got :
+       {std::vector<int>{0, 1, 2}, {1, 4, 6}, {6, 5, 3}}) {
+    AvidMRetriever r(p, 0);
+    for (std::size_t j = 0; j + 1 < got.size(); ++j) {
+      ASSERT_FALSE(r.offer_chunk(got[j], msgs[static_cast<std::size_t>(got[j])]));
+    }
+    ASSERT_TRUE(r.offer_chunk(got.back(), msgs[static_cast<std::size_t>(got.back())]));
+    const DecodeJob job = r.take_decode_job();
+    before = sha256_compressions();
+    const DecodeResult out = avid_m_run_decode(job);
+    const std::uint64_t used = sha256_compressions() - before;
+    ASSERT_FALSE(out.bad_uploader);
+    EXPECT_EQ(out.block, block);
+    // The N-K re-created leaves and the inner nodes; the K received leaves
+    // were hashed once, when their proofs were checked.
+    EXPECT_EQ(used, 4 * tagged_compressions(chunk) + inner);
+  }
+}
+
+TEST(AvidMDecode, NonCodewordIsBadUploaderWhereverTheBadChunkSits) {
+  const Params p{7, 2};
+  const Bytes block = random_bytes(20'000, 32);
+  const std::vector<std::vector<int>> subsets = {
+      {0, 1, 2}, {2, 3, 4}, {4, 5, 6}, {0, 3, 6}, {1, 5, 6}};
+  for (const auto& got : subsets) {
+    const AvidMRetriever good =
+        retrieve_from(p, disperse_with_bad_chunk(p, block, -1), got);
+    ASSERT_TRUE(good.done());
+    EXPECT_FALSE(good.bad_uploader());
+    for (int bad = 0; bad < p.n; ++bad) {
+      // `bad` is received (decode reads it) or re-created (decode never
+      // sees it); either way the re-encoded root differs.
+      const AvidMRetriever r =
+          retrieve_from(p, disperse_with_bad_chunk(p, block, bad), got);
+      ASSERT_TRUE(r.done());
+      EXPECT_TRUE(r.bad_uploader()) << "bad chunk " << bad;
+      EXPECT_EQ(to_string(r.result()), kBadUploader);
+    }
+  }
+}
+
+// The retriever hashes the chunks it received only once, so it must still
+// reject a received chunk set that decodes but does not re-encode to
+// itself. Here the disperser codes a padded block whose padding byte is
+// not zero, and sends those chunks at indices 1 and 2 but the correctly
+// padded block's chunks at 0 and 3. Decoding {1, 2} gives the block, and
+// re-creating 0 and 3 matches the root; only the padding check catches
+// it. Every subset must give the same verdict.
+TEST(AvidMDecode, EverySubsetRejectsChunksWithNonZeroPadding) {
+  const Params p{4, 1};  // K = 2
+  const ReedSolomon rs(p.data_shards(), p.n);
+  const Bytes block = random_bytes(1001, 34);  // 1005 padded bytes: 1 of padding
+  const std::size_t stripe = rs.chunk_size(block.size());
+  Bytes padded(2 * stripe, 0);
+  for (int i = 0; i < 4; ++i) {
+    padded[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(block.size() >> (8 * i));
+  }
+  std::copy(block.begin(), block.end(), padded.begin() + 4);
+  padded.back() = 0x01;
+  const std::vector<Bytes> odd = rs.encode_shards(
+      {Bytes(padded.begin(), padded.begin() + static_cast<std::ptrdiff_t>(stripe)),
+       Bytes(padded.begin() + static_cast<std::ptrdiff_t>(stripe), padded.end())});
+  std::vector<Bytes> chunks = rs.encode(block);
+  chunks[1] = odd[1];
+  chunks[2] = odd[2];
+  const MerkleTree tree(chunks);
+  std::vector<ChunkMsg> msgs;
+  for (int i = 0; i < p.n; ++i) {
+    msgs.push_back(ChunkMsg{tree.root(), chunks[static_cast<std::size_t>(i)],
+                            tree.prove(static_cast<std::uint32_t>(i))});
+  }
+  for (int a = 0; a < p.n; ++a) {
+    for (int b = a + 1; b < p.n; ++b) {
+      const AvidMRetriever r = retrieve_from(p, msgs, {a, b});
+      ASSERT_TRUE(r.done());
+      EXPECT_TRUE(r.bad_uploader()) << "chunks " << a << " and " << b;
+    }
+  }
+}
+
+TEST(AvidMDecode, RetrievingAMegabyteBlockMakesFewBlockSizedAllocations) {
+  const Params p{4, 1};  // K = 2
+  const Bytes block = random_bytes(1 << 20, 33);
+  const std::vector<Bytes> bodies = avid_m_disperse_bodies(p, block);
+  std::vector<ChunkView> views(bodies.size());
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    ASSERT_TRUE(ChunkView::decode(bodies[i], views[i]));
+  }
+  // Half a chunk: no smaller buffer grows with the block.
+  g_big_alloc_threshold = views[0].chunk.size() / 2;
+  g_big_allocs = 0;
+  AvidMRetriever r(p, 0);
+  r.handle_return_chunk(3, views[3]);  // parity
+  r.handle_return_chunk(0, views[0]);  // data
+  const std::size_t allocs = g_big_allocs;
+  g_big_alloc_threshold = 0;
+  ASSERT_TRUE(r.done());
+  ASSERT_FALSE(r.bad_uploader());
+  EXPECT_EQ(r.result(), block);
+  // One copy of each accepted chunk and the decoded block; the decode
+  // itself and the re-encode check allocate nothing block-sized.
+  EXPECT_LE(allocs, 3u);
 }
 
 TEST(AvidM, EmptyBlockDispersal) {

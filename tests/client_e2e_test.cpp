@@ -34,7 +34,7 @@ struct Cluster : app::LoopbackCluster {
     for (int i = 0; i < size(); ++i) {
       auto* ledger = &ledgers[static_cast<std::size_t>(i)];
       (*this)[i].set_delivery_hook(
-          [ledger](std::uint64_t at, core::BlockKey key, const core::Block&,
+          [ledger](std::uint64_t at, core::BlockKey key, const core::BlockView&,
                    double) { ledger->emplace_back(at, key); });
     }
     start();
@@ -255,6 +255,63 @@ TEST(ClientE2E, GatewayShutdownSendsGoodbye) {
   cluster.loop().post([&] { cluster.ingress(3).shutdown(); });
   ASSERT_TRUE(cluster.run_until([&] { return cli.remote_closed(); }, 10.0));
   EXPECT_FALSE(cli.connected());
+}
+
+// A client sends its payload to replica 0, where it waits in the mempool
+// behind a full node queue, while the same payload reaches replica 1's
+// block first (a client that sends to several replicas). Replica 0 must
+// drop the pending copy when that block commits, so it never packs the
+// payload into a block of its own, and notify its client exactly once.
+TEST(ClientE2E, PayloadPendingHereThatCommitsElsewhereIsNotifiedOnce) {
+  app::LoopbackCluster cluster(app::loopback_config(4), [](int id) {
+    app::ReplicaOptions o = Cluster::options({});
+    // Replica 0 packs one filler per block, so its node queue stays above
+    // the gateway's watermark (2 blocks) for dozens of epochs.
+    if (id == 0) o.node.max_block_bytes = 1024;
+    return o;
+  });
+  const Bytes payload = unique_payload(7, 0);
+  const Bytes filler_tag = bytes_of("filler");
+  int payload_commits = 0;
+  int fillers_delivered = 0;
+  std::uint64_t epochs_after_fillers = 0;
+  constexpr int kFillers = 40;
+  cluster[0].set_delivery_hook([&](std::uint64_t, core::BlockKey,
+                                   const core::BlockView& block, double) {
+    for (const core::TxView& tx : block.txs) {
+      if (equal(tx.payload, payload)) ++payload_commits;
+      if (tx.payload.size() > filler_tag.size() &&
+          equal(tx.payload.first(filler_tag.size()), filler_tag)) {
+        ++fillers_delivered;
+      }
+    }
+    if (fillers_delivered == kFillers) ++epochs_after_fillers;
+  });
+  cluster.start();
+  DlClient cli(cluster.loop(), "127.0.0.1",
+               cluster[0].ingress()->listen_port());
+  cli.start();
+  cli.set_ack_callback([&](std::uint64_t, net::TxStatus st) {
+    ASSERT_EQ(st, net::TxStatus::Accepted);
+    // Admitted at replica 0 and pending there: now replica 1 gets it too.
+    EXPECT_EQ(cluster[0].ingress()->aggregate_mempool_stats().admitted, 1u);
+    cluster[1].node().submit(payload);
+  });
+  cluster.loop().after(0.0, [&] {
+    for (int i = 0; i < kFillers; ++i) {
+      Bytes filler = random_bytes(900, static_cast<std::uint64_t>(i));
+      std::copy(filler_tag.begin(), filler_tag.end(), filler.begin());
+      cluster[0].node().submit(std::move(filler));
+    }
+    cli.submit(payload);
+  });
+  // Past the last filler, replica 0's gateway drains its mempool again; a
+  // stale slot would put the payload into a block a second time.
+  ASSERT_TRUE(cluster.run_until([&] { return epochs_after_fillers >= 20; }, 60.0));
+  EXPECT_EQ(payload_commits, 1);
+  EXPECT_EQ(cli.stats().committed, 1u);
+  EXPECT_EQ(cluster[0].ingress()->aggregate_stats().commits_notified, 1u);
+  EXPECT_EQ(cluster[0].ingress()->aggregate_mempool_stats().committed, 1u);
 }
 
 int thread_count() {

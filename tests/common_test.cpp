@@ -2,6 +2,7 @@
 // the PrefixSet watermark set.
 #include <gtest/gtest.h>
 
+#include "common/buffer_recycler.hpp"
 #include "common/bytes.hpp"
 #include "common/hex.hpp"
 #include "common/prefix_set.hpp"
@@ -183,6 +184,40 @@ TEST(Serial, RawReads) {
   Reader r(w.data());
   EXPECT_EQ(to_string(r.raw(3)), "abc");
   EXPECT_TRUE(r.done());
+}
+
+TEST(BufferRecycler, ReusesABlockSizedBufferOfAboutTheSameSize) {
+  Bytes b = take_buffer(700 << 10);
+  b.resize(700 << 10);
+  const std::uint8_t* p = b.data();
+  const std::uint64_t reused = recycler_stats().reused;
+  recycle_buffer(std::move(b));
+  EXPECT_TRUE(b.empty());
+  // Far smaller requests get a fresh buffer; one within a quarter of the
+  // kept capacity gets the kept one, empty.
+  EXPECT_NE(take_buffer(500 << 10).data(), p);
+  const Bytes again = take_buffer(650 << 10);
+  EXPECT_EQ(again.data(), p);
+  EXPECT_TRUE(again.empty());
+  EXPECT_EQ(recycler_stats().reused, reused + 1);
+}
+
+TEST(BufferRecycler, KeepsOnlyBlockSizedBuffersWithinItsBounds) {
+  const std::size_t kept = recycler_stats().kept_buffers;
+  recycle_buffer(Bytes(kRecycleMinBytes - 1));     // below the floor
+  recycle_buffer(Bytes(kRecycleMaxBytes + 1));     // above the byte bound
+  EXPECT_EQ(recycler_stats().kept_buffers, kept);
+  for (int i = 0; i < 40; ++i) recycle_buffer(Bytes(kRecycleMinBytes));
+  const RecyclerStats s = recycler_stats();
+  EXPECT_EQ(s.kept_buffers, kRecycleMaxBuffers);  // the oldest went first
+  EXPECT_LE(s.kept_bytes, kRecycleMaxBytes);
+  // A shared buffer goes back when its last owner lets go.
+  auto shared = share_buffer(Bytes(kRecycleMinBytes + 4096));
+  auto other = shared;
+  const std::uint8_t* p = shared->data();
+  shared.reset();
+  other.reset();
+  EXPECT_EQ(take_buffer(kRecycleMinBytes + 4096).data(), p);
 }
 
 }  // namespace

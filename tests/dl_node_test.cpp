@@ -52,7 +52,7 @@ struct Cluster {
     DlNode* raw = node.get();
     auto* log = &logs[static_cast<std::size_t>(cfg.self)];
     raw->set_delivery_callback([log](std::uint64_t at, BlockKey key,
-                                     const Block& b, double) {
+                                     const BlockView& b, double) {
       log->push_back({at, key.epoch, key.proposer, b.payload_bytes()});
     });
     nodes[static_cast<std::size_t>(cfg.self)] = raw;
@@ -167,7 +167,7 @@ TEST(DlNode, ValidityEveryTxDeliveredEverywhere) {
     auto cfg = with_small_blocks(NodeConfig::dispersed_ledger(n, f, i));
     auto* node = c.add_node(cfg);
     auto* got = &delivered_tx[static_cast<std::size_t>(i)];
-    node->set_delivery_callback([got](std::uint64_t, BlockKey, const Block& b, double) {
+    node->set_delivery_callback([got](std::uint64_t, BlockKey, const BlockView& b, double) {
       for (const auto& tx : b.txs) got->insert(to_string(tx.payload));
     });
   }
@@ -495,7 +495,7 @@ TEST(DlNodeMemory, LongRunKeepsResidentEpochsAndChunksFlat) {
     DlNode* node = c.add_node(fast_epochs(n, f, i));
     Hash* fp = &fp_at[static_cast<std::size_t>(i)];
     node->set_delivery_callback(
-        [node, fp, kEpochs](std::uint64_t at, BlockKey, const Block&, double) {
+        [node, fp, kEpochs](std::uint64_t at, BlockKey, const BlockView&, double) {
           if (at < kEpochs) *fp = node->delivery_fingerprint();
         });
   }

@@ -15,18 +15,22 @@ TEST(Envelope, RoundTrip) {
   e.epoch = 0x123456789ABCDEFULL;
   e.instance = 42;
   e.body = bytes_of("payload");
-  auto back = Envelope::decode(e.encode());
+  const Bytes wire = e.encode();
+  auto back = EnvelopeView::decode(wire);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->kind, e.kind);
   EXPECT_EQ(back->epoch, e.epoch);
   EXPECT_EQ(back->instance, e.instance);
-  EXPECT_EQ(back->body, e.body);
+  EXPECT_TRUE(equal(back->body, e.body));
+  // The body is a view into the received bytes, not a copy.
+  EXPECT_EQ(back->body.data(), wire.data() + Envelope::kHeaderBytes);
 }
 
 TEST(Envelope, EmptyBody) {
   Envelope e;
   e.kind = MsgKind::VidRequestChunk;
-  auto back = Envelope::decode(e.encode());
+  const Bytes wire = e.encode();
+  auto back = EnvelopeView::decode(wire);
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(back->body.empty());
 }
@@ -50,17 +54,17 @@ TEST(Envelope, EncodeHeaderMatchesEncodePrefix) {
 }
 
 TEST(Envelope, MalformedRejected) {
-  EXPECT_FALSE(Envelope::decode({}).has_value());
-  EXPECT_FALSE(Envelope::decode(bytes_of("x")).has_value());
+  EXPECT_FALSE(EnvelopeView::decode({}).has_value());
+  EXPECT_FALSE(EnvelopeView::decode(bytes_of("x")).has_value());
   Envelope e;
   e.kind = MsgKind::BaBval;
   e.body = bytes_of("abc");
   Bytes raw = e.encode();
   raw.pop_back();  // truncated
-  EXPECT_FALSE(Envelope::decode(raw).has_value());
+  EXPECT_FALSE(EnvelopeView::decode(raw).has_value());
   raw = e.encode();
   raw.push_back(0);  // trailing junk
-  EXPECT_FALSE(Envelope::decode(raw).has_value());
+  EXPECT_FALSE(EnvelopeView::decode(raw).has_value());
 }
 
 }  // namespace
@@ -78,7 +82,7 @@ TEST(RetrievalManager, LocalContentSkipsNetwork) {
   const vid::Params p{4, 1};
   RetrievalManager rm(p, 0);
   const BlockKey key{3, 0};
-  rm.put_local(key, bytes_of("my block"));
+  rm.put_local(key, std::make_shared<const Bytes>(bytes_of("my block")));
   EXPECT_TRUE(rm.has(key));
   Outbox out;
   EXPECT_FALSE(rm.ensure_started(key, out));  // already available
@@ -112,7 +116,7 @@ TEST(RetrievalManager, CompletesAfterKChunks) {
   EXPECT_EQ(rm.feed_chunk(1, key, make_chunk(p, block, 1)),
             RetrievalManager::Feed::kReady);
   // The decode runs wherever the caller wants; install the outcome.
-  EXPECT_TRUE(rm.finish_decode(key, vid::avid_m_run_decode(rm.decode_job(key))));
+  EXPECT_TRUE(rm.finish_decode(key, vid::avid_m_run_decode(rm.take_decode_job(key))));
   EXPECT_TRUE(rm.has(key));
   EXPECT_FALSE(rm.is_bad(key));
   EXPECT_EQ(rm.get(key), block);
@@ -133,7 +137,7 @@ TEST(RetrievalManager, ReleaseFreesContentButStaysDone) {
   const vid::Params p{4, 1};
   RetrievalManager rm(p, 0);
   const BlockKey key{5, 3};
-  rm.put_local(key, bytes_of("data"));
+  rm.put_local(key, std::make_shared<const Bytes>(bytes_of("data")));
   rm.release(key);
   EXPECT_FALSE(rm.has(key));
   // Done-key memory prevents re-retrieval of delivered blocks.

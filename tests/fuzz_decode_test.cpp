@@ -28,8 +28,8 @@ namespace {
 
 // Feeds `input` to every decoder; success criterion is simply "no crash".
 void feed_all(ByteView input) {
-  { auto v = Envelope::decode(input); (void)v; }
-  { vid::ChunkMsg m; (void)vid::ChunkMsg::decode(input, m); }
+  { auto v = EnvelopeView::decode(input); (void)v; }
+  { vid::ChunkView m; (void)vid::ChunkView::decode(input, m); }
   { vid::RootMsg m; (void)vid::RootMsg::decode(input, m); }
   { vid::FpChunkMsg m; (void)vid::FpChunkMsg::decode(input, m); }
   { vid::FpChecksumMsg m; (void)vid::FpChecksumMsg::decode(input, m); }
@@ -37,7 +37,12 @@ void feed_all(ByteView input) {
   { CrossChecksum c; (void)CrossChecksum::decode(input, c); }
   { ba::BaRoundMsg m; (void)ba::BaRoundMsg::decode(input, m); }
   { ba::BaDoneMsg m; (void)ba::BaDoneMsg::decode(input, m); }
-  { auto b = core::Block::decode(input, 16); (void)b; }
+  { auto b = core::BlockView::decode(input, 16); (void)b; }
+  {
+    const Bytes copy(input.begin(), input.end());
+    auto v = core::BlockView::delivered_v_array(&copy, 16);
+    (void)v;
+  }
   { auto c = app::Command::decode(input); (void)c; }
   { net::WireFrame wf; (void)net::decode_wire(input, wf); }
   { core::CatchUpRequestMsg m; (void)core::CatchUpRequestMsg::decode(input, m); }
@@ -60,7 +65,7 @@ void feed_framed_stream(ByteView input, Rng& rng) {
       net::WireFrame wf;
       if (!net::decode_wire(frame, wf)) continue;
       if (wf.kind == net::WireKind::Data) {
-        auto env = Envelope::decode(wf.data);
+        auto env = EnvelopeView::decode(wf.data);
         (void)env;
       }
     }

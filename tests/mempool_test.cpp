@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <deque>
 #include <new>
+#include <optional>
 #include <random>
 #include <string>
 #include <utility>
@@ -88,7 +89,7 @@ TEST(Mempool, ResubmitsDecidedBeforeCapacity) {
   EXPECT_EQ(mp.admit(tx("other"), 0, 1, 2), AdmitResult::Full);
   EXPECT_EQ(mp.admit(tx("inflight"), 0, 1, 1), AdmitResult::Duplicate);
   ASSERT_TRUE(mp.pop().has_value());
-  ASSERT_TRUE(mp.match_commit(sha256(tx("inflight")), 2, 0, 1.0).has_value());
+  ASSERT_TRUE(mp.match_commit(tx("inflight"), 2, 0, 1.0).has_value());
   EXPECT_EQ(mp.admit(tx("filler"), 0, 1, 3), AdmitResult::Admitted);  // full again
   EXPECT_EQ(mp.admit(tx("inflight"), 0, 1, 1), AdmitResult::Committed);
 }
@@ -120,7 +121,7 @@ TEST(Mempool, CommitMatchingIsExactlyOnceWithLatency) {
   ASSERT_TRUE(mp.pop().has_value());
 
   const Hash h = sha256(payload);
-  auto rec = mp.match_commit(h, 5, 3, 2.25);
+  auto rec = mp.match_commit(payload, 5, 3, 2.25);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->client_nonce, 42u);
   EXPECT_EQ(rec->client_seq, 17u);
@@ -129,11 +130,12 @@ TEST(Mempool, CommitMatchingIsExactlyOnceWithLatency) {
   EXPECT_EQ(rec->latency_us, 250'000u);
   EXPECT_EQ(mp.tracked_txs(), 0u);
   EXPECT_EQ(mp.stats().committed, 1u);
+  EXPECT_TRUE(mp.committed_record(h).has_value());
 
-  // Second sighting of the same hash: not ours anymore.
-  EXPECT_FALSE(mp.match_commit(h, 6, 0, 2.5).has_value());
+  // Second sighting of the same payload: not ours anymore.
+  EXPECT_FALSE(mp.match_commit(payload, 6, 0, 2.5).has_value());
   // Foreign hash: never ours.
-  EXPECT_FALSE(mp.match_commit(sha256(tx("other")), 5, 0, 2.5).has_value());
+  EXPECT_FALSE(mp.match_commit(tx("other"), 5, 0, 2.5).has_value());
 }
 
 TEST(Mempool, ResubmitAfterCommitIsReplayedNotReadmitted) {
@@ -141,7 +143,7 @@ TEST(Mempool, ResubmitAfterCommitIsReplayedNotReadmitted) {
   const Bytes payload = tx("replayed");
   EXPECT_EQ(mp.admit(payload, 1.0, 9, 4), AdmitResult::Admitted);
   ASSERT_TRUE(mp.pop().has_value());
-  ASSERT_TRUE(mp.match_commit(sha256(payload), 11, 2, 1.5).has_value());
+  ASSERT_TRUE(mp.match_commit(payload, 11, 2, 1.5).has_value());
 
   // The client resubmits (it lost the notification): the pool must answer
   // Committed and expose the stored record — never commit twice.
@@ -162,10 +164,105 @@ TEST(Mempool, CommitOfStillPendingPayloadDropsQueueSlot) {
   const Bytes payload = tx("raced");
   EXPECT_EQ(mp.admit(tx("first"), 0, 1, 1), AdmitResult::Admitted);
   EXPECT_EQ(mp.admit(payload, 0, 1, 2), AdmitResult::Admitted);
-  ASSERT_TRUE(mp.match_commit(sha256(payload), 3, 1, 1.0).has_value());
+  ASSERT_TRUE(mp.match_commit(payload, 3, 1, 1.0).has_value());
   EXPECT_EQ(mp.pending_txs(), 1u);
   EXPECT_EQ(to_string(ByteView(*mp.pop())), "first");
   EXPECT_FALSE(mp.pop().has_value());
+}
+
+// A client that sends the same payloads to several replicas sees most of
+// them commit in another replica's block while still pending here. With
+// 100k pending entries each such commit must stay O(1), and the FIFO must
+// pop exactly the payloads still pending, in admission order, once each —
+// also after a committed hash falls out of the ring and is admitted again.
+TEST(Mempool, CommitsOfPendingPayloadsMatchReferenceModel) {
+  MempoolOptions opt;
+  opt.committed_ring = 64;  // small, so committed hashes get re-admitted
+  Mempool mp(opt);
+  std::mt19937_64 rng(20261019);
+
+  // Reference model: every admission in order, whether it is still
+  // pending, and the pending ones in a vector for O(1) random picks.
+  std::vector<Bytes> admitted;
+  std::vector<bool> pending;
+  std::vector<std::size_t> live;      // indices into `admitted`
+  std::vector<std::size_t> live_pos;  // admission -> its index in `live`
+  std::size_t front = 0;              // oldest admission that may be pending
+  std::vector<Bytes> committed;       // re-admittable once evicted
+  auto model_admit = [&](Bytes p) {
+    live_pos.push_back(live.size());
+    live.push_back(admitted.size());
+    pending.push_back(true);
+    admitted.push_back(std::move(p));
+  };
+  auto model_remove = [&](std::size_t a) {
+    pending[a] = false;
+    const std::size_t at = live_pos[a];
+    live[at] = live.back();
+    live_pos[live[at]] = at;
+    live.pop_back();
+    committed.push_back(admitted[a]);
+  };
+  auto model_front = [&]() -> std::optional<std::size_t> {
+    while (front < admitted.size() && !pending[front]) ++front;
+    if (front == admitted.size()) return std::nullopt;
+    return front;
+  };
+  std::uint64_t next = 0;
+  auto fresh = [&next] { return tx("pending-" + std::to_string(next++)); };
+
+  for (int i = 0; i < 100'000; ++i) {
+    Bytes p = fresh();
+    ASSERT_EQ(mp.admit(p, 0, 1, static_cast<std::uint64_t>(i)), AdmitResult::Admitted);
+    model_admit(std::move(p));
+  }
+  ASSERT_EQ(mp.pending_txs(), 100'000u);
+
+  for (int step = 0; step < 200'000; ++step) {
+    const unsigned op = rng() % 10;
+    if (op < 5 && !live.empty()) {
+      // Cross-replica commit of a random pending payload.
+      const std::size_t a = live[rng() % live.size()];
+      ASSERT_TRUE(mp.match_commit(admitted[a], 1, 2, 1.0).has_value()) << step;
+      EXPECT_FALSE(mp.match_commit(admitted[a], 1, 2, 1.0).has_value());
+      model_remove(a);
+    } else if (op < 7) {
+      auto got = mp.pop();
+      const auto want = model_front();
+      ASSERT_EQ(got.has_value(), want.has_value()) << step;
+      if (!got) continue;
+      ASSERT_EQ(*got, admitted[*want]) << step;
+      // Popped payloads commit in our own block.
+      ASSERT_TRUE(mp.match_commit(*got, 1, 0, 1.0).has_value());
+      model_remove(*want);
+    } else if (op < 8 && !committed.empty()) {
+      // Resubmission of a committed payload: replayed while the ring
+      // remembers it, admitted afresh once it was evicted.
+      const std::size_t k = rng() % committed.size();
+      const AdmitResult r = mp.admit(committed[k], 0, 1, 1);
+      ASSERT_TRUE(r == AdmitResult::Committed || r == AdmitResult::Admitted);
+      if (r == AdmitResult::Admitted) {
+        model_admit(std::move(committed[k]));
+        committed[k] = std::move(committed.back());
+        committed.pop_back();
+      }
+    } else if (op < 9) {
+      Bytes p = fresh();
+      ASSERT_EQ(mp.admit(p, 0, 1, 1), AdmitResult::Admitted);
+      model_admit(std::move(p));
+    } else {
+      EXPECT_FALSE(mp.match_commit(fresh(), 1, 2, 1.0).has_value());
+    }
+    ASSERT_EQ(mp.pending_txs(), live.size()) << step;
+  }
+  for (auto want = model_front(); want.has_value(); want = model_front()) {
+    auto got = mp.pop();
+    ASSERT_TRUE(got.has_value());
+    ASSERT_EQ(*got, admitted[*want]);
+    pending[*want] = false;
+  }
+  EXPECT_FALSE(mp.pop().has_value());
+  EXPECT_EQ(mp.pending_bytes(), 0u);
 }
 
 TEST(Mempool, CommittedRingEvictsOldestRecords) {
@@ -176,7 +273,7 @@ TEST(Mempool, CommittedRingEvictsOldestRecords) {
   for (const Bytes* p : {&p1, &p2, &p3}) {
     ASSERT_EQ(mp.admit(*p, 0, 1, 1), AdmitResult::Admitted);
     ASSERT_TRUE(mp.pop().has_value());
-    ASSERT_TRUE(mp.match_commit(sha256(*p), 1, 0, 1.0).has_value());
+    ASSERT_TRUE(mp.match_commit(*p, 1, 0, 1.0).has_value());
   }
   // r1 was evicted by r3; r2 and r3 still replay.
   EXPECT_EQ(mp.admit(p1, 0, 1, 1), AdmitResult::Admitted);  // forgotten
@@ -230,7 +327,7 @@ TEST(Mempool, CommittedRingMatchesReferenceModel) {
         if (rng() % 2 == 0) {
           ASSERT_TRUE(mp.pop().has_value());
         }
-        auto rec = mp.match_commit(h, epoch, proposer, submit + 0.5);
+        auto rec = mp.match_commit(payload, epoch, proposer, submit + 0.5);
         ASSERT_TRUE(rec.has_value());
         want.client_nonce = nonce;
         want.client_seq = seq;
@@ -276,7 +373,7 @@ TEST(Mempool, SeedIntoFullRingEvictsOldest) {
     live.push_back(tx("live-" + std::to_string(i)));
     ASSERT_EQ(mp.admit(live.back(), 1.0, 5, static_cast<std::uint64_t>(i)),
               AdmitResult::Admitted);
-    ASSERT_TRUE(mp.match_commit(sha256(live.back()), 7, 1, 2.0).has_value());
+    ASSERT_TRUE(mp.match_commit(live.back(), 7, 1, 2.0).has_value());
   }
   const Bytes s1 = tx("seeded-1"), s2 = tx("seeded-2");
   mp.seed_committed(sha256(s1), 40, 2);

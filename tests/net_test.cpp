@@ -77,11 +77,13 @@ struct Recorder final : runtime::Receiver {
   std::vector<std::pair<int, Envelope>> got;
 
   void on_receive(int from, ByteView bytes) override {
-    auto e = Envelope::decode(bytes);
-    ASSERT_TRUE(e.has_value());
-    got.emplace_back(from, *e);
+    auto v = EnvelopeView::decode(bytes);
+    ASSERT_TRUE(v.has_value());
+    const Envelope e{v->kind, v->epoch, v->instance,
+                     Bytes(v->body.begin(), v->body.end())};
+    got.emplace_back(from, e);
     if (echo && from != env->local_id()) {
-      Envelope reply = *e;
+      Envelope reply = e;
       reply.epoch += 1000;
       env->send(from, reply, {});
     }
@@ -283,7 +285,7 @@ std::vector<std::vector<Delivery>> run_to_agreement(app::LoopbackCluster& c,
   for (int i = 0; i < c.size(); ++i) {
     auto* log = &logs[static_cast<std::size_t>(i)];
     c[i].set_delivery_hook([log](std::uint64_t at, core::BlockKey key,
-                                 const core::Block& b, double) {
+                                 const core::BlockView& b, double) {
       log->push_back({at, key.epoch, key.proposer, b.payload_bytes()});
     });
   }

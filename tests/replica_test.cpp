@@ -3,6 +3,7 @@
 
 #include <stdlib.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -103,10 +104,10 @@ TEST(Replica, RestartAnswersACommittedPayloadFromTheRecoveredStore) {
   bool payload_replayed = false;
   for (int i = 0; i < kN; ++i) {
     cluster[i].start([&, i](const storage::BlockRecord&,
-                            const core::Block& block) {
+                            const core::BlockView& block) {
       ++replayed[static_cast<std::size_t>(i)];
-      for (const core::Transaction& tx : block.txs) {
-        if (i == kEntry && tx.payload == payload) payload_replayed = true;
+      for (const core::TxView& tx : block.txs) {
+        if (i == kEntry && equal(tx.payload, payload)) payload_replayed = true;
       }
     });
   }
@@ -144,9 +145,15 @@ TEST(Replica, DeliveredDigestIsTheHashOfTheEncodedBlock) {
   std::vector<std::uint64_t> txs(4, 0);
   for (int i = 0; i < cluster.size(); ++i) {
     cluster[i].set_delivery_hook([&, i](std::uint64_t, core::BlockKey,
-                                        const core::Block& block, double) {
+                                        const core::BlockView& block, double) {
+      core::Block again;
+      again.v_array = block.v_array;
+      for (const core::TxView& tx : block.txs) {
+        again.txs.push_back(core::Transaction{
+            tx.submit_time, tx.origin, Bytes(tx.payload.begin(), tx.payload.end())});
+      }
       EXPECT_EQ(cluster[i].node().delivered_block_digest(),
-                sha256(block.encode()));
+                sha256(again.encode()));
       txs[static_cast<std::size_t>(i)] += block.txs.size();
     });
   }
@@ -165,6 +172,64 @@ TEST(Replica, DeliveredDigestIsTheHashOfTheEncodedBlock) {
     }
     return true;
   }));
+}
+
+// Offloaded coding with blocks at the size limit: dispersals are encoded
+// and retrievals decoded on pool threads, which own their inputs (the
+// shared block bytes, the DecodeJob's chunk copies) while the home loop
+// keeps handling messages and recycling buffers. CI runs it under ASan and
+// TSan.
+TEST(Replica, WorkersCodeMaxSizeBlocks) {
+  app::ReplicaOptions opt;
+  opt.workers = 2;
+  opt.node.propose_delay = 0.020;
+  opt.node.max_block_bytes = 262'144;
+  opt.node.propose_size = opt.node.max_block_bytes;
+  app::LoopbackCluster cluster(4, opt);
+  constexpr std::uint64_t kTxs = 600;  // per replica, ~2.3 full blocks
+  struct Seen {
+    std::uint64_t txs = 0;
+    std::uint64_t largest = 0;  // payload bytes of the largest block
+    std::vector<Hash> digests;  // in delivery order
+  };
+  std::vector<Seen> seen(4);
+  for (int i = 0; i < cluster.size(); ++i) {
+    cluster[i].set_delivery_hook([&, i](std::uint64_t, core::BlockKey,
+                                        const core::BlockView& block, double) {
+      Seen& s = seen[static_cast<std::size_t>(i)];
+      s.txs += block.txs.size();
+      s.largest = std::max(s.largest, block.payload_bytes());
+      s.digests.push_back(cluster[i].node().delivered_block_digest());
+    });
+  }
+  cluster.start();
+  cluster.loop().after(0.0, [&] {
+    for (int i = 0; i < cluster.size(); ++i) {
+      for (std::uint64_t k = 0; k < kTxs; ++k) {
+        cluster[i].node().submit(
+            random_bytes(1000, (static_cast<std::uint64_t>(i) << 32) | k));
+      }
+    }
+  });
+  ASSERT_TRUE(cluster.run_until(
+      [&] {
+        for (const Seen& s : seen) {
+          if (s.txs < 4 * kTxs) return false;
+        }
+        return true;
+      },
+      120.0));
+  const std::size_t common = std::min_element(seen.begin(), seen.end(),
+                                              [](const Seen& a, const Seen& b) {
+                                                return a.digests.size() <
+                                                       b.digests.size();
+                                              })->digests.size();
+  for (const Seen& s : seen) {
+    EXPECT_EQ(s.txs, 4 * kTxs);
+    EXPECT_GT(s.largest, opt.node.max_block_bytes * 9 / 10);
+    EXPECT_TRUE(std::equal(s.digests.begin(), s.digests.begin() + static_cast<std::ptrdiff_t>(common),
+                           seen[0].digests.begin()));
+  }
 }
 
 std::string read_comm(const std::filesystem::path& file) {

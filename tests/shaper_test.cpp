@@ -319,7 +319,7 @@ struct Recorder final : runtime::Receiver {
   EventLoop* loop = nullptr;
   std::vector<Arrival> got;
   void on_receive(int, ByteView bytes) override {
-    const auto env = Envelope::decode(bytes);
+    const auto env = EnvelopeView::decode(bytes);
     if (env) got.push_back({env->epoch, loop->now()});
   }
 };

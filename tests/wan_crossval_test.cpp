@@ -189,7 +189,7 @@ Windows run_sim_cluster() {
   }
   runtime::Env* env0 = envs[0].get();
   nodes[0]->set_delivery_callback(
-      [&win, env0](std::uint64_t, core::BlockKey, const core::Block& b,
+      [&win, env0](std::uint64_t, core::BlockKey, const core::BlockView& b,
                    double) { win.record(env0->now(), b.payload_bytes()); });
   sim.run_until(kRunFor + 0.001);
   return win;
@@ -208,7 +208,7 @@ Windows run_real_cluster() {
   Windows win;
   const double t0 = loop.now();
   cluster[0].set_delivery_hook(
-      [&win, &loop, t0](std::uint64_t, core::BlockKey, const core::Block& b,
+      [&win, &loop, t0](std::uint64_t, core::BlockKey, const core::BlockView& b,
                         double) { win.record(loop.now() - t0, b.payload_bytes()); });
   cluster.start();
   loop.after(kRunFor + 0.05, [&] { loop.stop(); });
