@@ -1,10 +1,9 @@
 // micro_loop — event-loop mailbox and wake-path microbenchmarks.
 //
 // The replica data plane leans on EventLoop::post for every cross-thread
-// hop: ingress shards handing admitted batches to the node loop, transport
-// loops batching received frames home, the node loop fanning broadcasts out
-// to the transport tier. This bench pins the primitive costs behind those
-// hops:
+// hop: ingress shards handing admitted batches to the node loop, the node
+// loop fanning commit batches out to the shards, workers posting finished
+// coding jobs home. This bench pins the primitive costs behind those hops:
 //
 //   post_spsc_{mutex,mpsc}   one producer thread pushing closures through the
 //                            FULL cross-thread post path — mailbox plus wake
@@ -23,8 +22,8 @@
 //                            EventLoop, measuring post -> task-runs latency
 //                            (ops are round trips; read latency as 1/rate).
 //   fanout4                  one thread posting a closure to 4 live loops
-//                            per round — the broadcast fan-out shape of
-//                            TcpEnv with --net-loops 4.
+//                            per round — the home loop's commit fan-out
+//                            to 4 client ingress shards (--loops 4).
 //
 // Rows are dl-perf-v1 (BENCH_micro_loop.{json,csv}); see docs/PERF.md.
 // Run solo: mailbox contention benches are meaningless while another build
@@ -229,8 +228,8 @@ dl::runner::PerfRow wake_latency_row(std::uint64_t rounds) {
   return {"wake_latency", "roundtrips", rounds, wall};
 }
 
-// Broadcast fan-out: each round posts one closure to each of 4 live loops
-// and waits for all to run — the shape of TcpEnv::broadcast at net_loops=4.
+// Fan-out: each round posts one closure to each of 4 live loops and waits
+// for all to run — the shape of the commit fan-out to 4 ingress shards.
 dl::runner::PerfRow fanout_row(std::uint64_t rounds) {
   constexpr int kLoops = 4;
   std::vector<std::unique_ptr<EventLoop>> loops;

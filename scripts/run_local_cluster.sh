@@ -29,7 +29,6 @@
 #                 (-L only; default: no ceiling)
 #   -l LOOPS      client ingress loops per replica (dlnoded --loops, default 1)
 #   -w WORKERS    coding/hashing worker threads (dlnoded --workers, default 0)
-#   -N NETLOOPS   replica transport loops (dlnoded --net-loops, default 1)
 #   -S            give every replica a durable store (dlnoded --store)
 #   -F POLICY     store fsync policy: never | batch | always (default batch)
 #   -K            crash mode (implies -S, selfdrive only): SIGKILL one
@@ -83,7 +82,6 @@ OUT_DIR=""
 RSS_MAX_KB=""
 LOOPS=1
 WORKERS=0
-NETLOOPS=1
 STORE=0
 FSYNC=batch
 CRASH=0
@@ -91,7 +89,7 @@ KEEP=0
 ADVERSARY=""
 TRACE=""
 ADMIN=0
-while getopts "n:e:b:p:t:Lc:r:o:R:l:w:N:SF:KkA:B:M" opt; do
+while getopts "n:e:b:p:t:Lc:r:o:R:l:w:SF:KkA:B:M" opt; do
   case "$opt" in
     n) N="$OPTARG" ;;
     e) EPOCHS="$OPTARG" ;;
@@ -105,7 +103,6 @@ while getopts "n:e:b:p:t:Lc:r:o:R:l:w:N:SF:KkA:B:M" opt; do
     R) RSS_MAX_KB="$OPTARG" ;;
     l) LOOPS="$OPTARG" ;;
     w) WORKERS="$OPTARG" ;;
-    N) NETLOOPS="$OPTARG" ;;
     S) STORE=1 ;;
     F) FSYNC="$OPTARG" ;;
     K) CRASH=1; STORE=1 ;;
@@ -184,7 +181,7 @@ pids=()
 # pre-crash log) and records its pid in pids[$1].
 launch_replica() {
   local i="$1"
-  local extra=(--loops "$LOOPS" --workers "$WORKERS" --net-loops "$NETLOOPS")
+  local extra=(--loops "$LOOPS" --workers "$WORKERS")
   if [ "$LOADGEN" -eq 1 ]; then
     extra+=(--target-epochs 0)
   elif [ -n "$ADVERSARY" ] && [ "$i" -eq $((N - 1)) ]; then

@@ -105,8 +105,6 @@ void usage(const char* argv0) {
       "                         >=2 runs N shard threads behind one SO_REUSEPORT port)\n"
       "  --workers M            coding worker threads for erasure/Merkle work\n"
       "                         (default 0: inline on the node loop)\n"
-      "  --net-loops K          replica transport event loops (default 1; >=2\n"
-      "                         pins each peer connection to loop id%%K)\n"
       "  --ledger FILE          write the committed-ledger log here\n"
       "  --store DIR            durable ledger store: persist committed blocks\n"
       "                         under DIR and recover the prefix at boot\n"
@@ -193,7 +191,6 @@ bool parse_flags(int argc, char** argv, Flags& f) {
       {"--max-block-bytes", number(r.node.max_block_bytes)},
       {"--loops", number(r.loops)},
       {"--workers", number(r.workers)},
-      {"--net-loops", number(r.net_loops)},
       {"--adversary", parsed(r.adversary, dl::adversary::parse_real_adversary)},
       {"--admin-port", number(r.admin_port)},
       {"--stats-interval", number(f.stats_interval)},
@@ -222,8 +219,7 @@ bool parse_flags(int argc, char** argv, Flags& f) {
       return false;
     }
   }
-  if (f.config.empty() || r.id < 0 || r.loops < 1 || r.net_loops < 1 ||
-      r.admin_port > 65535) {
+  if (f.config.empty() || r.id < 0 || r.loops < 1 || r.admin_port > 65535) {
     usage(argv[0]);
     return false;
   }

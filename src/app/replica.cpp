@@ -22,7 +22,6 @@ std::unique_ptr<storage::LedgerStore> open_store(const ReplicaOptions& opt) {
 
 net::TcpEnv::Options env_options(const ReplicaOptions& opt) {
   net::TcpEnv::Options eopt;
-  eopt.net_loops = opt.net_loops;
   if (opt.adversary.kind == adversary::RealAdversary::Kind::Mute) {
     eopt.adversary = net::WireAdversary::Mute;
   } else if (opt.adversary.kind == adversary::RealAdversary::Kind::SlowDrip) {

@@ -44,7 +44,6 @@ struct ReplicaOptions {
   // --catchup-ms). n, f and self are taken from the cluster and `id`.
   core::NodeConfig node;
   adversary::RealAdversary adversary;  // --adversary
-  int net_loops = 1;                   // --net-loops
   int workers = 0;                     // --workers (0: coding inline)
   // --loops: client ingress shards on the node's client_port (0 there
   // binds an ephemeral port). 0 shards: no client plane.

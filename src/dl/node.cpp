@@ -735,9 +735,9 @@ void DlNode::deliver_content(std::uint64_t at_epoch, BlockKey key,
   fingerprint_ = sha256(w.data());
 
   if (store_ != nullptr && content != nullptr) {
-    store_->append_block({at_epoch, key.epoch,
-                          static_cast<std::uint32_t>(key.proposer), bad,
-                          *content});
+    store_->append_block(storage::BlockRecordView{
+        at_epoch, key.epoch, static_cast<std::uint32_t>(key.proposer), bad,
+        *content});
   }
 
   if (key.proposer == cfg_.self) {

@@ -9,8 +9,8 @@
 //                  the common acquire/release path touches no shared state);
 //   global pool  — a mutex-guarded backstop per class that overflowing or
 //                  cross-thread releases fall back to, so buffers released
-//                  on one thread are reusable on another (a frame read on a
-//                  transport loop, released on the node loop).
+//                  on one thread are reusable on another (a buffer filled
+//                  on an ingress shard's loop, released on the node loop).
 //
 // Buffers above the largest class fall through to plain new[]/delete[].
 // Under AddressSanitizer every pooled-but-free buffer is poisoned, so a

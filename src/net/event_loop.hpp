@@ -3,7 +3,7 @@
 // This is the real-time analogue of sim::EventQueue: a clock that starts
 // near zero, ordered timers, and fd readiness callbacks. A process may run
 // several loops (dlnoded with --loops N >= 2 shards client ingress across N
-// of them and runs --net-loops replica transport loops); all loops in one
+// of them besides the home loop that runs the replica); all loops in one
 // process share a single clock epoch, so `now()` values taken on different
 // loops are directly comparable (cross-loop stage timing depends on this).
 //

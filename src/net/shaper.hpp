@@ -11,11 +11,11 @@
 //
 // Threading: all methods are safe to call from any thread. One shaper
 // instance is typically *shared* across every peer of a TcpEnv (modelling
-// the node's aggregate egress pipe, like FluidLink's per-node egress), so
-// with `--net-loops K` several event loops contend on its internal mutex.
-// The critical sections are a handful of arithmetic ops; the unshipped
-// path (no [[link]] config) is a null-pointer check in TcpEnv and never
-// reaches this file.
+// the node's aggregate egress pipe, like FluidLink's per-node egress). The
+// TcpEnv drives it from its home loop; stats() may be read from any other
+// thread. The critical sections are a handful of arithmetic ops; the
+// unshipped path (no [[link]] config) is a null-pointer check in TcpEnv and
+// never reaches this file.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,6 @@
 #include "net/tcp_env.hpp"
 
 #include <netinet/in.h>
-#include <pthread.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -28,9 +27,6 @@ constexpr std::size_t kMaxPreAuthBytes = 4096;
 // Scatter-gather width per sendmsg: each frame contributes at most two
 // iovecs (prefix slab + body reference).
 constexpr std::size_t kMaxIov = 64;
-// Receive batches cross from a transport loop to the home loop in pooled
-// buffers of at least this capacity (bigger frames get a bigger buffer).
-constexpr std::size_t kRecvBatchBytes = 64u << 10;
 
 constexpr auto relaxed = std::memory_order_relaxed;
 constexpr double kNever = std::numeric_limits<double>::infinity();
@@ -41,12 +37,6 @@ TcpEnv::TcpEnv(EventLoop& loop, ClusterConfig cfg, int self, Options opt)
     : loop_(loop), cfg_(std::move(cfg)), self_(self), opt_(opt) {
   if (self_ < 0 || self_ >= cfg_.n) {
     throw std::invalid_argument("TcpEnv: self out of range");
-  }
-  if (opt_.net_loops > cfg_.n) opt_.net_loops = cfg_.n;
-  if (opt_.net_loops >= 2) {
-    for (int k = 0; k < opt_.net_loops; ++k) {
-      tloops_.push_back(std::make_unique<EventLoop>());
-    }
   }
   for (int i = 0; i < cfg_.n; ++i) {
     Peer& p = peers_.emplace_back();
@@ -81,22 +71,6 @@ TcpEnv::TcpEnv(EventLoop& loop, ClusterConfig cfg, int self, Options opt)
 }
 
 TcpEnv::~TcpEnv() {
-  if (multi()) {
-    // Quiesce the transport tier first: once the loop threads are joined,
-    // no other thread can touch peer or pending state and the fds can be
-    // closed from here without epoll bookkeeping.
-    for (auto& l : tloops_) l->stop();
-    for (auto& t : tthreads_) t.join();
-    for (Peer& p : peers_) {
-      if (p.fd >= 0) {
-        close(p.fd);
-        p.fd = -1;
-      }
-    }
-    for (auto& [fd, pa] : pending_) close(fd);
-    if (listen_fd_ >= 0) close(listen_fd_);
-    return;
-  }
   for (Peer& p : peers_) {
     if (p.fd >= 0) {
       if (started_) loop_.del_fd(p.fd);
@@ -204,34 +178,13 @@ void TcpEnv::setup_shapers() {
 void TcpEnv::start(runtime::Receiver& r) {
   if (started_) return;
   started_ = true;
-  receiver_ = &r;  // published by the posts below before any callback fires
-  if (!multi()) {
-    loop_.post([this] {
-      loop_.add_fd(listen_fd_, EPOLLIN,
-                   [this](std::uint32_t ev) { handle_listener(ev); });
-      for (Peer& p : peers_) {
-        if (p.dialer) dial(p);
-      }
-      if (receiver_ != nullptr) receiver_->start();
-    });
-    return;
-  }
-  for (std::size_t k = 0; k < tloops_.size(); ++k) {
-    tloops_[k]->post([this, k] {
-      if (k == 0) {
-        listener_loop().add_fd(listen_fd_, EPOLLIN, [this](std::uint32_t ev) {
-          handle_listener(ev);
-        });
-      }
-      for (Peer& p : peers_) {
-        if (p.dialer && owner_index(p.id) == k) dial(p);
-      }
-    });
-    tthreads_.emplace_back([l = tloops_[k].get()] { l->run(); });
-    pthread_setname_np(tthreads_.back().native_handle(),
-                       ("net" + std::to_string(k)).c_str());
-  }
+  receiver_ = &r;  // published by the post below before any callback fires
   loop_.post([this] {
+    loop_.add_fd(listen_fd_, EPOLLIN,
+                 [this](std::uint32_t ev) { handle_listener(ev); });
+    for (Peer& p : peers_) {
+      if (p.dialer) dial(p);
+    }
     if (receiver_ != nullptr) receiver_->start();
   });
 }
@@ -273,14 +226,7 @@ void TcpEnv::send(int to, Envelope&& env, const runtime::SendOpts& opts) {
     });
     return;
   }
-  OutFrame f = make_data_frame(std::move(env), opts.tag);
-  if (!multi()) {
-    enqueue_and_flush(peer(to), std::move(f), opts);
-    return;
-  }
-  owner_loop(to).post([this, to, f = std::move(f), opts]() mutable {
-    enqueue_and_flush(peer(to), std::move(f), opts);
-  });
+  enqueue_and_flush(peer(to), make_data_frame(std::move(env), opts.tag), opts);
 }
 
 void TcpEnv::broadcast(const Envelope& env, const runtime::SendOpts& opts) {
@@ -303,28 +249,15 @@ void TcpEnv::broadcast(Envelope&& env, const runtime::SendOpts& opts) {
   proto.header[4] = static_cast<std::uint8_t>(WireKind::Data);
   proto.body = std::move(env_bytes);
   proto.tag = opts.tag;
-  if (!multi()) {
-    for (Peer& p : peers_) {
-      if (p.id == self_) continue;
-      enqueue_and_flush(p, OutFrame(proto), opts);
-    }
-    return;
-  }
-  // One mailbox push per transport loop; each loop fans out to the peers it
-  // owns, so a broadcast costs K posts, not N.
-  for (std::size_t k = 0; k < tloops_.size(); ++k) {
-    tloops_[k]->post([this, k, proto, opts] {
-      for (Peer& p : peers_) {
-        if (p.id == self_ || owner_index(p.id) != k) continue;
-        enqueue_and_flush(p, OutFrame(proto), opts);
-      }
-    });
+  for (Peer& p : peers_) {
+    if (p.id == self_) continue;
+    enqueue_and_flush(p, OutFrame(proto), opts);
   }
 }
 
-void TcpEnv::cancel_send_on(std::size_t loop_idx, std::uint64_t tag) {
+void TcpEnv::cancel_send(std::uint64_t tag) {
+  if (tag == 0) return;
   for (Peer& p : peers_) {
-    if (multi() && owner_index(p.id) != loop_idx) continue;
     for (auto it = p.low.begin(); it != p.low.end();) {
       if (it->second.tag == tag) {
         p.stats.queued_bytes.fetch_sub(it->second.size(), relaxed);
@@ -334,17 +267,6 @@ void TcpEnv::cancel_send_on(std::size_t loop_idx, std::uint64_t tag) {
       }
     }
     if (p.fd >= 0 && !p.connecting) update_interest(p);
-  }
-}
-
-void TcpEnv::cancel_send(std::uint64_t tag) {
-  if (tag == 0) return;
-  if (!multi()) {
-    cancel_send_on(0, tag);
-    return;
-  }
-  for (std::size_t k = 0; k < tloops_.size(); ++k) {
-    tloops_[k]->post([this, k, tag] { cancel_send_on(k, tag); });
   }
 }
 
@@ -428,7 +350,7 @@ void TcpEnv::update_interest(Peer& p) {
       EPOLLIN | (want ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
   if (want == p.want_write) return;
   p.want_write = want;
-  owner_loop(p.id).mod_fd(p.fd, events);
+  loop_.mod_fd(p.fd, events);
 }
 
 void TcpEnv::add_iov(const OutFrame& f, std::size_t off, iovec* iov,
@@ -509,7 +431,7 @@ double TcpEnv::serialize(Peer& p, double now) {
 }
 
 void TcpEnv::flush_writes(Peer& p) {
-  const double now = p.shaper ? owner_loop(p.id).now() : 0.0;
+  const double now = p.shaper ? loop_.now() : 0.0;
   const double pay_at = p.shaper ? serialize(p, now) : kNever;
   while (p.fd >= 0) {
     if (!p.has_inflight && !next_inflight(p, now)) break;
@@ -561,10 +483,9 @@ void TcpEnv::flush_writes(Peer& p) {
 }
 
 void TcpEnv::schedule_shape_wake(Peer& p, double when) {
-  EventLoop& owner = owner_loop(p.id);
-  if (p.shape_timer != 0) owner.cancel_timer(p.shape_timer);
+  if (p.shape_timer != 0) loop_.cancel_timer(p.shape_timer);
   const int id = p.id;
-  p.shape_timer = owner.at(when, [this, id] {
+  p.shape_timer = loop_.at(when, [this, id] {
     Peer& q = peer(id);
     q.shape_timer = 0;
     if (q.fd >= 0 && !q.connecting) flush_writes(q);
@@ -594,40 +515,8 @@ void TcpEnv::consume_written(Peer& p, std::size_t n, double now) {
 
 // --- read path ---------------------------------------------------------------
 
-void TcpEnv::batch_add(RecvBatch& b, int from, ByteView frame) {
-  if (!b.buf || b.used + frame.size() > b.buf.capacity()) {
-    post_batch(b);
-    b.buf = PooledBuf(std::max(frame.size(), kRecvBatchBytes));
-    b.used = 0;
-  }
-  b.from = from;
-  if (!frame.empty()) {
-    std::memcpy(b.buf.data() + b.used, frame.data(), frame.size());
-  }
-  b.spans.emplace_back(static_cast<std::uint32_t>(b.used),
-                       static_cast<std::uint32_t>(frame.size()));
-  b.used += frame.size();
-}
-
-void TcpEnv::post_batch(RecvBatch& b) {
-  if (b.spans.empty()) return;
-  loop_.post([this, from = b.from, buf = std::move(b.buf),
-              spans = std::move(b.spans)] {
-    if (receiver_ == nullptr) return;
-    for (const auto& [off, len] : spans) {
-      receiver_->on_receive(from, ByteView(buf.data() + off, len));
-    }
-    // `buf` recycles to the pool here, on the home thread — the pool's
-    // global tier makes it reusable by the transport loop that filled it.
-  });
-  b.buf = PooledBuf();
-  b.used = 0;
-  b.spans.clear();
-}
-
 bool TcpEnv::drain_frames(Peer& p) {
   ByteView fr;
-  RecvBatch batch;  // multi-loop only; unused (and empty) inline
   bool ok = true;
   while (p.fd >= 0 && p.reader.next_view(fr)) {
     WireFrame wf;
@@ -638,23 +527,14 @@ bool TcpEnv::drain_frames(Peer& p) {
     }
     p.stats.recv_frames.fetch_add(1, relaxed);
     p.stats.recv_bytes.fetch_add(fr.size(), relaxed);
-    if (!multi()) {
-      // Inline delivery: the view into the reader's pooled buffer stays
-      // valid for the duration of the callback (nothing feeds the reader
-      // until it returns).
-      if (receiver_ != nullptr) receiver_->on_receive(p.id, wf.data);
-    } else {
-      // Cross-thread delivery: copy into the pooled batch bound for the
-      // home loop. Frames already decoded stay delivered even if a later
-      // frame in this burst kills the connection.
-      batch_add(batch, p.id, wf.data);
-    }
+    // The view into the reader's pooled buffer stays valid for the duration
+    // of the callback (nothing feeds the reader until it returns).
+    if (receiver_ != nullptr) receiver_->on_receive(p.id, wf.data);
   }
   if (ok && p.fd >= 0 && p.reader.failed()) {
     disconnect(p, "oversized frame");
     ok = false;
   }
-  if (multi()) post_batch(batch);
   return ok && p.fd >= 0;
 }
 
@@ -709,23 +589,22 @@ void TcpEnv::handle_peer_event(int id, std::uint32_t events) {
 
 void TcpEnv::disconnect(Peer& p, const char* /*why*/) {
   if (p.fd < 0) return;
-  EventLoop& owner = owner_loop(p.id);
   // A connection that proved itself (stayed up past one full backoff
   // period) earns an instant redial; one that died young — connect refused,
   // handshake rejected by the acceptor, immediate RST — keeps climbing the
   // exponential ladder, so a rejecting peer is not hammered 20x/second.
   const bool was_established = !p.connecting;
   if (was_established &&
-      owner.now() - p.established_at >= opt_.reconnect_max) {
+      loop_.now() - p.established_at >= opt_.reconnect_max) {
     p.backoff = 0;
   }
-  owner.del_fd(p.fd);
+  loop_.del_fd(p.fd);
   close(p.fd);
   p.fd = -1;
   p.connecting = false;
   p.want_write = false;
   if (p.shape_timer != 0) {
-    owner.cancel_timer(p.shape_timer);
+    loop_.cancel_timer(p.shape_timer);
     p.shape_timer = 0;
   }
   p.stats.connected.store(false, relaxed);
@@ -753,7 +632,7 @@ void TcpEnv::schedule_dial(Peer& p) {
   p.backoff = p.backoff <= 0 ? opt_.reconnect_min
                              : std::min(p.backoff * 2, opt_.reconnect_max);
   const int id = p.id;
-  p.redial_timer = owner_loop(id).after(p.backoff, [this, id] {
+  p.redial_timer = loop_.after(p.backoff, [this, id] {
     peer(id).redial_timer = 0;
     dial(peer(id));
   });
@@ -784,7 +663,7 @@ void TcpEnv::dial(Peer& p) {
   p.connecting = rc != 0;
   p.want_write = true;
   const int id = p.id;
-  owner_loop(id).add_fd(fd, EPOLLIN | EPOLLOUT, [this, id](std::uint32_t ev) {
+  loop_.add_fd(fd, EPOLLIN | EPOLLOUT, [this, id](std::uint32_t ev) {
     handle_peer_event(id, ev);
   });
   if (rc == 0) on_dial_connected(p);
@@ -792,7 +671,7 @@ void TcpEnv::dial(Peer& p) {
 
 void TcpEnv::on_dial_connected(Peer& p) {
   p.connecting = false;
-  p.established_at = owner_loop(p.id).now();
+  p.established_at = loop_.now();
   p.stats.connected.store(true, relaxed);
   // The handshake frame goes out before anything queued while disconnected,
   // and outside any link shaping: it is the head of the new byte stream.
@@ -826,7 +705,7 @@ void TcpEnv::handle_listener(std::uint32_t /*events*/) {
     // may not keep holding a pending slot. The id guards against the fd
     // number having been closed and reused by the time the timer fires.
     const std::uint64_t timer =
-        listener_loop().after(opt_.handshake_timeout, [this, fd, id] {
+        loop_.after(opt_.handshake_timeout, [this, fd, id] {
           auto it = pending_.find(fd);
           if (it != pending_.end() && it->second.id == id) {
             it->second.timer = 0;
@@ -835,7 +714,7 @@ void TcpEnv::handle_listener(std::uint32_t /*events*/) {
         });
     pending_.emplace(fd,
                      PendingAccept{fd, id, timer, FrameReader(opt_.max_frame_bytes)});
-    listener_loop().add_fd(fd, EPOLLIN, [this, fd](std::uint32_t ev) {
+    loop_.add_fd(fd, EPOLLIN, [this, fd](std::uint32_t ev) {
       handle_pending_accept(fd, ev);
     });
   }
@@ -844,9 +723,9 @@ void TcpEnv::handle_listener(std::uint32_t /*events*/) {
 void TcpEnv::close_pending(int fd) {
   auto it = pending_.find(fd);
   if (it != pending_.end() && it->second.timer != 0) {
-    listener_loop().cancel_timer(it->second.timer);
+    loop_.cancel_timer(it->second.timer);
   }
-  listener_loop().del_fd(fd);
+  loop_.del_fd(fd);
   close(fd);
   pending_.erase(fd);
 }
@@ -876,21 +755,12 @@ void TcpEnv::handle_pending_accept(int fd, std::uint32_t events) {
           close_pending(fd);
           return;
         }
-        if (it->second.timer != 0) listener_loop().cancel_timer(it->second.timer);
+        if (it->second.timer != 0) loop_.cancel_timer(it->second.timer);
         FrameReader reader = std::move(it->second.reader);
         pending_.erase(it);
-        // Swap the pending-accept handler for the peer handler — possibly
-        // on a different loop: the socket is adopted by its owner.
-        listener_loop().del_fd(fd);
-        const int peer_id = static_cast<int>(wf.hello_node);
-        if (!multi() || owner_index(peer_id) == 0) {
-          adopt_accepted(fd, peer_id, std::move(reader));
-        } else {
-          owner_loop(peer_id).post(
-              [this, fd, peer_id, reader = std::move(reader)]() mutable {
-                adopt_accepted(fd, peer_id, std::move(reader));
-              });
-        }
+        // Swap the pending-accept handler for the peer handler.
+        loop_.del_fd(fd);
+        adopt_accepted(fd, static_cast<int>(wf.hello_node), std::move(reader));
         return;
       }
       if (it->second.reader.buffered_bytes() > kMaxPreAuthBytes) {
@@ -920,7 +790,7 @@ void TcpEnv::adopt_accepted(int fd, int peer_id, FrameReader&& reader) {
   p.want_write = false;
   p.stats.connected.store(true, relaxed);
   p.reader = std::move(reader);
-  owner_loop(peer_id).add_fd(fd, EPOLLIN, [this, peer_id](std::uint32_t ev) {
+  loop_.add_fd(fd, EPOLLIN, [this, peer_id](std::uint32_t ev) {
     handle_peer_event(peer_id, ev);
   });
   // Frames that arrived glued to the Hello are already buffered; process
@@ -956,12 +826,6 @@ int TcpEnv::connected_peers() const {
   return count;
 }
 
-void TcpEnv::drop_connection_for_test(int id) {
-  if (!multi()) {
-    disconnect(peer(id), "test");
-    return;
-  }
-  owner_loop(id).post([this, id] { disconnect(peer(id), "test"); });
-}
+void TcpEnv::drop_connection_for_test(int id) { disconnect(peer(id), "test"); }
 
 }  // namespace dl::net

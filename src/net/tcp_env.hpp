@@ -16,16 +16,10 @@
 // buffer and hands out payload views — the only copy on the receive path is
 // the kernel's.
 //
-// Transport-loop affinity (--net-loops K): with Options::net_loops >= 2,
-// TcpEnv runs K private EventLoop threads and pins each peer connection to
-// loop (peer_id % K). All per-peer state — socket, queues, reader, redial
-// timers — is touched only on the owner loop, so there is no lock anywhere
-// on the protocol path. send/broadcast (home loop) hand envelopes to owner
-// loops through the loops' MPSC mailboxes (a broadcast posts one task per
-// loop, not per peer); inbound frames batch back to the home loop, where
-// Receiver callbacks fire exactly as in single-loop mode. With net_loops <= 1
-// (the default) everything multiplexes inline on the caller's loop — the
-// original single-threaded behavior, bit for bit.
+// Every peer connection runs on the home loop: socket I/O, queues, readers,
+// redial and shaping timers all multiplex inline with the Receiver
+// callbacks, so there is no lock anywhere on the protocol path and an
+// inbound frame reaches the Receiver as a view into the reader's buffer.
 //
 // Delivery model per peer, mirroring the simulator's FluidLink scheduling:
 // High-class frames (dispersal + agreement) drain strictly before Low-class
@@ -56,10 +50,8 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
-#include "net/buffer_pool.hpp"
 #include "net/cluster_config.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
@@ -89,9 +81,6 @@ class TcpEnv final : public runtime::Env {
     // (and within a small byte budget) or it is closed — unauthenticated
     // sockets may not hold pending-accept slots or memory indefinitely.
     double handshake_timeout = 5.0;
-    // Transport loops. <= 1: all socket I/O inline on the home loop.
-    // >= 2: that many private loop threads, peer -> loop (id % net_loops).
-    int net_loops = 1;
     // Wire-level misbehavior injection (tests / dlnoded --adversary). An
     // adversary overrides any [[link]] shaping from the cluster config.
     WireAdversary adversary = WireAdversary::None;
@@ -119,9 +108,8 @@ class TcpEnv final : public runtime::Env {
   // which is fine — orphaned completions die in the loop's mailbox).
   void set_worker_pool(runtime::WorkerPool* pool) { pool_ = pool; }
 
-  // Injects the Receiver, registers sockets with their owner loops, begins
-  // dialing, spawns the transport-loop threads (multi-loop mode), and
-  // schedules the Receiver's start() as the first home-loop task. Call once
+  // Injects the Receiver and schedules one home-loop task that registers the
+  // listener, begins dialing and calls the Receiver's start(). Call once
   // (from any thread, before or while the home loop runs), then loop.run().
   // All Receiver callbacks fire on the home-loop thread.
   void start(runtime::Receiver& r);
@@ -161,7 +149,7 @@ class TcpEnv final : public runtime::Env {
     std::uint64_t shaped_drop_bytes = 0;
     std::uint64_t shaper_waits = 0;   // drain pauses waiting on the bucket
   };
-  // Both are thread-safe snapshots (relaxed counters — may trail the owner
+  // Both are thread-safe snapshots (relaxed counters — may trail the home
   // loop by a few frames, never torn).
   PeerStats peer_stats(int id) const;
   int connected_peers() const;
@@ -173,15 +161,8 @@ class TcpEnv final : public runtime::Env {
   LinkShaper::Stats shaper_totals() const;
   int shaper_count() const { return static_cast<int>(shapers_.size()); }
 
-  // Transport loops (empty when net_loops <= 1). The loop set is fixed at
-  // construction; EventLoop::stats() cells are thread-safe, so the metrics
-  // plane may read them live.
-  int transport_loop_count() const { return static_cast<int>(tloops_.size()); }
-  const EventLoop& transport_loop(int i) const { return *tloops_[i]; }
-
   // Test hook: tears down the connection to `id` (if any) as if the network
   // broke it; the dialing side's backoff machinery must then restore it.
-  // Multi-loop mode: asynchronous (posted to the owner loop).
   void drop_connection_for_test(int id);
 
  private:
@@ -200,7 +181,7 @@ class TcpEnv final : public runtime::Env {
     }
   };
 
-  // Cross-thread-readable per-peer accounting. Written only by the owner
+  // Cross-thread-readable per-peer accounting. Written only by the home
   // loop; relaxed loads elsewhere (peer_stats, connected_peers).
   struct PeerCounters {
     std::atomic<bool> connected{false};
@@ -217,8 +198,7 @@ class TcpEnv final : public runtime::Env {
     std::atomic<std::uint64_t> shaper_waits{0};
   };
 
-  // All mutable fields owner-loop-affine (loop id % net_loops; the home
-  // loop when net_loops <= 1).
+  // All mutable fields home-loop-affine.
   struct Peer {
     int id = -1;
     NodeAddr addr;
@@ -247,12 +227,11 @@ class TcpEnv final : public runtime::Env {
     // matching [[link]] rule names a destination; shared across this node's
     // peers (one aggregate egress bucket, like FluidLink) when it does not.
     std::shared_ptr<LinkShaper> shaper;
-    std::uint64_t shape_timer = 0;  // pending drain wake, owner-loop timer
+    std::uint64_t shape_timer = 0;  // pending drain wake, home-loop timer
     PeerCounters stats;
   };
 
-  // An accepted connection whose Hello has not arrived yet. Listener-loop
-  // state (loop 0 in multi-loop mode).
+  // An accepted connection whose Hello has not arrived yet.
   struct PendingAccept {
     int fd = -1;
     std::uint64_t id = 0;     // guards the timeout against fd-number reuse
@@ -260,27 +239,8 @@ class TcpEnv final : public runtime::Env {
     FrameReader reader;
   };
 
-  // Inbound frames accumulating on a transport loop, bound for the home
-  // loop: payload bytes packed into one pooled buffer plus (offset, length)
-  // spans. Posted as a single home-loop task per read burst.
-  struct RecvBatch {
-    int from = -1;
-    PooledBuf buf;
-    std::size_t used = 0;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> spans;
-  };
-
   Peer& peer(int id) { return peers_[static_cast<std::size_t>(id)]; }
   const Peer& peer(int id) const { return peers_[static_cast<std::size_t>(id)]; }
-
-  bool multi() const { return !tloops_.empty(); }
-  std::size_t owner_index(int id) const {
-    return static_cast<std::size_t>(id) % tloops_.size();
-  }
-  EventLoop& owner_loop(int id) {
-    return multi() ? *tloops_[owner_index(id)] : loop_;
-  }
-  EventLoop& listener_loop() { return multi() ? *tloops_[0] : loop_; }
 
   static OutFrame make_data_frame(Envelope&& env, std::uint64_t tag);
   static void add_iov(const OutFrame& f, std::size_t off, iovec* iov,
@@ -303,8 +263,6 @@ class TcpEnv final : public runtime::Env {
   void flush_writes(Peer& p);
   void consume_written(Peer& p, std::size_t n, double now);
   bool drain_frames(Peer& p);  // false once the connection was torn down
-  void batch_add(RecvBatch& b, int from, ByteView frame);
-  void post_batch(RecvBatch& b);
   void handle_readable(Peer& p);
   void handle_peer_event(int id, std::uint32_t events);
   void disconnect(Peer& p, const char* why);
@@ -315,9 +273,8 @@ class TcpEnv final : public runtime::Env {
   void handle_pending_accept(int fd, std::uint32_t events);
   void adopt_accepted(int fd, int peer_id, FrameReader&& reader);
   void close_pending(int fd);
-  void cancel_send_on(std::size_t loop_idx, std::uint64_t tag);
 
-  EventLoop& loop_;  // home loop: Receiver callbacks, timers, Env API
+  EventLoop& loop_;  // home loop: peer sockets, Receiver callbacks, timers
   ClusterConfig cfg_;
   int self_;
   Options opt_;
@@ -334,10 +291,6 @@ class TcpEnv final : public runtime::Env {
   // afterwards (read by shaper_totals() from any thread).
   std::vector<std::shared_ptr<LinkShaper>> shapers_;
   std::map<int, PendingAccept> pending_;  // fd -> state
-  // Transport tier (empty when net_loops <= 1). Loops are constructed in
-  // the ctor (owner_loop must resolve before start), threads in start().
-  std::vector<std::unique_ptr<EventLoop>> tloops_;
-  std::vector<std::thread> tthreads_;
 };
 
 }  // namespace dl::net

@@ -117,9 +117,6 @@ NodeExporter::NodeExporter(Registry& reg, ExporterSources src)
                                     "take() calls that returned 0");
 
   add_loop(reg, "home", &src_.home_loop);
-  for (int i = 0; i < src_.env.transport_loop_count(); ++i) {
-    add_loop(reg, "net" + std::to_string(i), &src_.env.transport_loop(i));
-  }
   if (src_.ingress != nullptr) {
     // Only shards with their own loop: a lone shard runs on the home loop.
     for (int i = 0; i < src_.ingress->shard_count(); ++i) {

@@ -2,13 +2,13 @@
 // histograms, scrapeable live while every loop keeps running.
 //
 // Shape of the problem: a replica's stats live in many places — EventLoop
-// drain counters on N transport loops, PeerCounters inside TcpEnv, mempool
-// admit/drop tallies on ingress shards, LedgerStore fsync counts behind the
-// worker pool. The registry gives them one export surface with two rules:
+// drain counters on the home and shard loops, PeerCounters inside TcpEnv,
+// mempool admit/drop tallies on ingress shards, LedgerStore fsync counts
+// behind the worker pool. The registry gives them one export surface with two rules:
 //
 //   update side — Counter/Gauge are single relaxed atomics; Histogram is a
 //     relaxed fetch_add into one of ~160 fixed buckets. All are safe to hit
-//     from any thread and cheap enough for transport-loop hot paths.
+//     from any thread and cheap enough for event-loop hot paths.
 //
 //   snapshot side — render_prometheus()/render_statusz() first run the
 //     registered sample hooks (closures that mirror externally-owned stats

@@ -48,11 +48,10 @@
 // any callback can fire, the receiver wiring is already published to every
 // thread involved.
 //
-// A backend may run additional private threads below this contract — TcpEnv
-// with `--net-loops K` owns K transport loops that do socket I/O — but those
-// are invisible here: send/broadcast are still called only on the home loop,
-// and on_receive still fires only on the home loop. Cross-loop handoff is
-// the backend's problem.
+// A backend may run additional private threads below this contract (a
+// worker pool behind offload()), but those are invisible here:
+// send/broadcast are called only on the home loop, and on_receive fires
+// only on the home loop. Cross-thread handoff is the backend's problem.
 #pragma once
 
 #include <cstdint>

@@ -388,54 +388,56 @@ LedgerStore::Stats LedgerStore::stats() const {
 }
 
 std::pair<std::uint64_t, std::uint64_t> LedgerStore::stage_locked(
-    ByteView payload) {
-  Bytes rec(kRecordHeader + payload.size());
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = crc32c(payload);
-  for (int i = 0; i < 4; ++i) {
-    rec[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(len >> (8 * i));
-    rec[static_cast<std::size_t>(4 + i)] =
-        static_cast<std::uint8_t>(crc >> (8 * i));
-  }
-  std::memcpy(rec.data() + kRecordHeader, payload.data(), payload.size());
-
+    ByteView head, ByteView body) {
+  const std::size_t len = head.size() + body.size();
+  const std::size_t size = kRecordHeader + len;
   // Roll between records only, so any record fits in "its" segment even
   // when it alone exceeds segment_bytes.
-  if (tail_size_ > 0 && tail_size_ + rec.size() > opt_.segment_bytes) {
+  if (tail_size_ > 0 && tail_size_ + size > opt_.segment_bytes) {
     ++tail_seq_;
     tail_size_ = 0;
   }
   const std::uint64_t segment = tail_seq_;
   const std::uint64_t offset = tail_size_;
-  tail_size_ += rec.size();
+  tail_size_ += size;
 
   ++stats_.appended_records;
-  stats_.appended_bytes += rec.size();
+  stats_.appended_bytes += size;
 
-  if (!staged_.empty() && staged_.back().segment == segment &&
-      staged_.back().offset + staged_.back().data.size() == offset) {
-    append(staged_.back().data, rec);
-  } else {
-    staged_.push_back(StagedRange{segment, offset, std::move(rec)});
+  if (staged_.empty() || staged_.back().segment != segment ||
+      staged_.back().offset + staged_.back().data.size() != offset) {
+    staged_.push_back(StagedRange{segment, offset, take_buffer(size)});
   }
+  std::uint8_t header[kRecordHeader];
+  const std::uint32_t crc = crc32c(body, crc32c(head));
+  for (int i = 0; i < 4; ++i) {
+    header[i] = static_cast<std::uint8_t>(len >> (8 * i));
+    header[4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  Bytes& out = staged_.back().data;
+  append(out, header);
+  append(out, head);
+  append(out, body);
   return {segment, offset + kRecordHeader};
 }
 
-void LedgerStore::append_block(const BlockRecord& rec) {
-  Writer w(1 + 8 + 8 + 4 + 1 + 4 + rec.content.size());
-  w.u8(kRecBlock);
-  w.u64(rec.at_epoch);
-  w.u64(rec.block_epoch);
-  w.u32(rec.proposer);
-  w.u8(rec.bad_uploader ? 0x1 : 0x0);
-  w.bytes(rec.content);
+void LedgerStore::append_block(const BlockRecordView& rec) {
+  // Everything before the content: the type tag, the metadata and the
+  // content's u32 length prefix (Writer::bytes' encoding).
+  Writer head(1 + 8 + 8 + 4 + 1 + 4);
+  head.u8(kRecBlock);
+  head.u64(rec.at_epoch);
+  head.u64(rec.block_epoch);
+  head.u32(rec.proposer);
+  head.u8(rec.bad_uploader ? 0x1 : 0x0);
+  head.u32(static_cast<std::uint32_t>(rec.content.size()));
 
   std::lock_guard<std::mutex> lock(mu_);
-  auto [segment, payload_off] = stage_locked(w.data());
+  auto [segment, payload_off] = stage_locked(head.data(), rec.content);
   pending_.push_back(IndexedBlock{
       rec.at_epoch, rec.block_epoch, rec.proposer, rec.bad_uploader, segment,
-      payload_off, static_cast<std::uint32_t>(w.data().size())});
+      payload_off,
+      static_cast<std::uint32_t>(head.data().size() + rec.content.size())});
 }
 
 void LedgerStore::append_epoch_done(std::uint64_t epoch) {

@@ -92,6 +92,15 @@ struct BlockRecord {
   Bytes content;                  // raw retrieved bytes
 };
 
+// A block to append: a BlockRecord whose content is borrowed.
+struct BlockRecordView {
+  std::uint64_t at_epoch = 0;
+  std::uint64_t block_epoch = 0;
+  std::uint32_t proposer = 0;
+  bool bad_uploader = false;
+  ByteView content;
+};
+
 // What open() found (and dropped) while rebuilding the index.
 struct RecoveredState {
   std::uint64_t delivered_epochs = 0;   // contiguous EpochDone frontier
@@ -140,7 +149,12 @@ class LedgerStore {
   void set_drain_histogram(obs::Histogram* h) { drain_hist_ = h; }
 
   // --- append path (any thread; encode + stage only, no I/O) ---------------
-  void append_block(const BlockRecord& rec);
+  // The content is copied once, straight into the staged segment bytes.
+  void append_block(const BlockRecordView& rec);
+  void append_block(const BlockRecord& rec) {
+    append_block(BlockRecordView{rec.at_epoch, rec.block_epoch, rec.proposer,
+                                 rec.bad_uploader, rec.content});
+  }
   // Closes delivery of `epoch`; must be the current frontier (a mismatch is
   // ignored — the caller's delivery loop is strictly sequential).
   void append_epoch_done(std::uint64_t epoch);
@@ -191,9 +205,10 @@ class LedgerStore {
   void commit_epoch_locked(std::uint64_t epoch);
 
   // Encodes [len][crc][payload] into staged_, assigning the record its
-  // segment + offset (rolling the tail segment when full). Requires mu_.
-  // Returns {segment, payload offset}.
-  std::pair<std::uint64_t, std::uint64_t> stage_locked(ByteView payload);
+  // segment + offset (rolling the tail segment when full); the payload is
+  // `head` then `body`. Requires mu_. Returns {segment, payload offset}.
+  std::pair<std::uint64_t, std::uint64_t> stage_locked(ByteView head,
+                                                       ByteView body = {});
   int segment_fd_io(std::uint64_t seq);       // requires io_mu_
   void drain_io(bool force_fsync);            // requires io_mu_
   void drain_io_inner(bool force_fsync);      // drain_io minus the timing

@@ -15,7 +15,6 @@
 
 #include "adversary/adversary.hpp"
 #include "dl/node.hpp"
-#include "hb/hb_node.hpp"
 #include "runtime/sim_env.hpp"
 #include "storage/ledger_store.hpp"
 

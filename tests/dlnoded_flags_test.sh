@@ -48,7 +48,8 @@ reject --id 0 --target-epochs -1
 reject --id 0 --target-epochs 5e
 reject --id 0 --workers -2
 reject --id 0 --loops +1
-reject --id 0 --net-loops 99999999999999999999
+reject --id 0 --loops 99999999999999999999
+reject --id 0 --net-loops 2
 reject --id 0 --tx-interval-ms -5
 reject --id 0 --max-seconds nan
 reject --id 0 --linger-seconds inf

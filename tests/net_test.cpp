@@ -315,13 +315,8 @@ std::vector<std::vector<Delivery>> run_to_agreement(app::LoopbackCluster& c,
   return logs;
 }
 
-// `net_loops` >= 2 runs each replica's peer connections on private
-// transport threads (per-peer loop affinity); the ledger outcome must be
-// indistinguishable from the single-loop build.
-void run_four_node_cluster(int net_loops) {
-  app::ReplicaOptions opt = self_filling();
-  opt.net_loops = net_loops;
-  app::LoopbackCluster cluster(4, opt);
+TEST(TcpCluster, FourNodeLedgerPrefixAgreement) {
+  app::LoopbackCluster cluster(4, self_filling());
   const auto logs = run_to_agreement(cluster, 25);
   // The chained fingerprints cover the whole log, so they agree wherever
   // the block counts match.
@@ -332,8 +327,6 @@ void run_four_node_cluster(int net_loops) {
     }
   }
 }
-
-TEST(TcpCluster, FourNodeLedgerPrefixAgreement) { run_four_node_cluster(1); }
 
 // Wire-level adversary e2e, mirroring the sim adversary tests on real
 // sockets: node 3 is mute-but-connected (dials, Hellos, then every Data
@@ -368,14 +361,6 @@ TEST(TcpCluster, MuteAndSlowDripNodesToleratedWithIdenticalPrefixes) {
     if (j != kDrip) drip_waits += cluster[kDrip].env().peer_stats(j).shaper_waits;
   }
   EXPECT_GT(drip_waits, 0u);
-}
-
-// Same cluster, but every replica splits its peer connections across two
-// transport loops (peer id % 2). Exercises cross-loop send/broadcast
-// batching, socket adoption onto owner loops, and receive-side batch
-// delivery back to the home loop. In the TSan CI matrix.
-TEST(TcpCluster, FourNodeLedgerPrefixAgreementTwoNetLoops) {
-  run_four_node_cluster(2);
 }
 
 }  // namespace

@@ -246,7 +246,6 @@ TEST(Replica, ThreadsAreNamedByRole) {
   app::ReplicaOptions opt;
   opt.loops = 2;
   opt.workers = 2;
-  opt.net_loops = 2;
   app::LoopbackCluster cluster(4, opt);
   cluster.start();
 
@@ -260,8 +259,7 @@ TEST(Replica, ThreadsAreNamedByRole) {
     if (name != process) ++roles[name];
   }
   const std::map<std::string, int> want = {
-      {"net0", 4},    {"net1", 4},   {"worker0", 4},
-      {"worker1", 4}, {"shard0", 4}, {"shard1", 4},
+      {"worker0", 4}, {"worker1", 4}, {"shard0", 4}, {"shard1", 4},
   };
   EXPECT_EQ(roles, want);
 
