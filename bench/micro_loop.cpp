@@ -1,9 +1,8 @@
 // micro_loop — event-loop mailbox and wake-path microbenchmarks.
 //
-// The replica data plane leans on EventLoop::post for every cross-thread
-// hop: ingress shards handing admitted batches to the node loop, the node
-// loop fanning commit batches out to the shards, workers posting finished
-// coding jobs home. This bench pins the primitive costs behind those hops:
+// EventLoop::post is the one way onto a loop from another thread (a replica
+// itself is one thread; its loop posts to itself, and tests and tools post
+// into it). This bench pins the primitive costs of that path:
 //
 //   post_spsc_{mutex,mpsc}   one producer thread pushing closures through the
 //                            FULL cross-thread post path — mailbox plus wake
@@ -22,8 +21,8 @@
 //                            EventLoop, measuring post -> task-runs latency
 //                            (ops are round trips; read latency as 1/rate).
 //   fanout4                  one thread posting a closure to 4 live loops
-//                            per round — the home loop's commit fan-out
-//                            to 4 client ingress shards (--loops 4).
+//                            per round and waiting for all 4 to run it: a
+//                            four-way post fan-out.
 //
 // Rows are dl-perf-v1 (BENCH_micro_loop.{json,csv}); see docs/PERF.md.
 // Run solo: mailbox contention benches are meaningless while another build
@@ -229,7 +228,7 @@ dl::runner::PerfRow wake_latency_row(std::uint64_t rounds) {
 }
 
 // Fan-out: each round posts one closure to each of 4 live loops and waits
-// for all to run — the shape of the commit fan-out to 4 ingress shards.
+// for all to run: a four-way post fan-out.
 dl::runner::PerfRow fanout_row(std::uint64_t rounds) {
   constexpr int kLoops = 4;
   std::vector<std::unique_ptr<EventLoop>> loops;

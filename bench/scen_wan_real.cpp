@@ -84,7 +84,7 @@ LegResult run_real_leg(const net::RateSchedule& sched, double duration,
   app::LoopbackCluster cluster(cfg, [mute_node](int i) {
     app::ReplicaOptions o;
     o.node = wan_node(i);
-    o.loops = 0;
+    o.client_plane = false;
     if (i == mute_node) o.adversary.kind = adversary::RealAdversary::Kind::Mute;
     return o;
   });

@@ -27,8 +27,6 @@
 #   -R PEAK_KB    fail if any replica's peak RSS exceeds PEAK_KB, read from
 #                 the "memory: peak_rss_kb" line of dlnoded's exit summary
 #                 (-L only; default: no ceiling)
-#   -l LOOPS      client ingress loops per replica (dlnoded --loops, default 1)
-#   -w WORKERS    coding/hashing worker threads (dlnoded --workers, default 0)
 #   -S            give every replica a durable store (dlnoded --store)
 #   -F POLICY     store fsync policy: never | batch | always (default batch)
 #   -K            crash mode (implies -S, selfdrive only): SIGKILL one
@@ -80,8 +78,6 @@ TXCOUNT=2000
 RATE=400000
 OUT_DIR=""
 RSS_MAX_KB=""
-LOOPS=1
-WORKERS=0
 STORE=0
 FSYNC=batch
 CRASH=0
@@ -89,7 +85,7 @@ KEEP=0
 ADVERSARY=""
 TRACE=""
 ADMIN=0
-while getopts "n:e:b:p:t:Lc:r:o:R:l:w:SF:KkA:B:M" opt; do
+while getopts "n:e:b:p:t:Lc:r:o:R:SF:KkA:B:M" opt; do
   case "$opt" in
     n) N="$OPTARG" ;;
     e) EPOCHS="$OPTARG" ;;
@@ -101,8 +97,6 @@ while getopts "n:e:b:p:t:Lc:r:o:R:l:w:SF:KkA:B:M" opt; do
     r) RATE="$OPTARG" ;;
     o) OUT_DIR="$OPTARG" ;;
     R) RSS_MAX_KB="$OPTARG" ;;
-    l) LOOPS="$OPTARG" ;;
-    w) WORKERS="$OPTARG" ;;
     S) STORE=1 ;;
     F) FSYNC="$OPTARG" ;;
     K) CRASH=1; STORE=1 ;;
@@ -181,7 +175,7 @@ pids=()
 # pre-crash log) and records its pid in pids[$1].
 launch_replica() {
   local i="$1"
-  local extra=(--loops "$LOOPS" --workers "$WORKERS")
+  local extra=()
   if [ "$LOADGEN" -eq 1 ]; then
     extra+=(--target-epochs 0)
   elif [ -n "$ADVERSARY" ] && [ "$i" -eq $((N - 1)) ]; then

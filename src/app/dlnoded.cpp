@@ -13,20 +13,15 @@
 // Transactions come from one of two sources:
 //
 //   - The client ingress plane (default when the config gives this node a
-//     client_port): client::IngressShards accepts dl_client/dl_loadgen
-//     connections, admits transactions through a client::Mempool per
-//     shard, and notifies submitters when their transactions commit. With
-//     --loops 1 (default) its one shard runs on the node's event loop;
-//     --loops N >= 2 runs N shards on their own threads behind one
-//     SO_REUSEPORT listen port. See docs/DEPLOY.md.
+//     client_port): a client::Gateway on the node's event loop accepts
+//     dl_client/dl_loadgen connections, admits transactions through a
+//     client::Mempool, and notifies submitters when their transactions
+//     commit. See docs/DEPLOY.md.
 //   - --selfdrive: the legacy synthetic generator (one transaction every
 //     --tx-interval-ms), for self-contained smoke runs with no external
 //     load source.
 //
-// --workers M >= 1 adds a fixed pool of M coding threads: erasure
-// encode/decode and Merkle hashing run off the node loop (runtime::Env::
-// offload), completions post back to it. M = 0 (default) keeps all coding
-// inline on the node loop.
+// The whole replica, coding and storage included, runs on one thread.
 //
 // Lifecycle: with --target-epochs E the process exits 0 once it delivered E
 // epochs, after a --linger-seconds grace during which it keeps serving
@@ -101,10 +96,6 @@ void usage(const char* argv0) {
       "  --propose-delay-ms M   proposal pacing delay (default 20)\n"
       "  --propose-size B       proposal pacing size trigger (default 32768)\n"
       "  --max-block-bytes B    block size cap (default 262144)\n"
-      "  --loops N              client ingress shards (default 1, on the node loop;\n"
-      "                         >=2 runs N shard threads behind one SO_REUSEPORT port)\n"
-      "  --workers M            coding worker threads for erasure/Merkle work\n"
-      "                         (default 0: inline on the node loop)\n"
       "  --ledger FILE          write the committed-ledger log here\n"
       "  --store DIR            durable ledger store: persist committed blocks\n"
       "                         under DIR and recover the prefix at boot\n"
@@ -189,8 +180,6 @@ bool parse_flags(int argc, char** argv, Flags& f) {
       {"--propose-delay-ms", millis(r.node.propose_delay)},
       {"--propose-size", number(r.node.propose_size)},
       {"--max-block-bytes", number(r.node.max_block_bytes)},
-      {"--loops", number(r.loops)},
-      {"--workers", number(r.workers)},
       {"--adversary", parsed(r.adversary, dl::adversary::parse_real_adversary)},
       {"--admin-port", number(r.admin_port)},
       {"--stats-interval", number(f.stats_interval)},
@@ -219,7 +208,7 @@ bool parse_flags(int argc, char** argv, Flags& f) {
       return false;
     }
   }
-  if (f.config.empty() || r.id < 0 || r.loops < 1 || r.admin_port > 65535) {
+  if (f.config.empty() || r.id < 0 || r.admin_port > 65535) {
     usage(argv[0]);
     return false;
   }
@@ -266,18 +255,17 @@ int main(int argc, char** argv) {
   }
   // No client_port in the config: no client plane.
   if (cluster->nodes[static_cast<std::size_t>(id)].client_port == 0) {
-    ropt.loops = 0;
+    ropt.client_plane = false;
   }
   // The exporter + histograms only when some consumer exists; the flight
   // recorder whenever anyone could ask for it (/tracez or the exit dump).
   ropt.metrics = flags.stats_interval > 0;
   ropt.flight_recorder = !flags.flight_path.empty();
 
-  // Block SIGINT/SIGTERM/SIGUSR1 before ANY thread exists (worker pool,
-  // ingress shards): spawned threads inherit the mask, so a signal can only
-  // ever be consumed through the signalfd below — never delivered to a pool
-  // thread where the default disposition would kill the process
-  // mid-ledger-line. SIGUSR1 asks for a metrics snapshot, not shutdown.
+  // Block SIGINT/SIGTERM/SIGUSR1 so that a signal can only ever be consumed
+  // through the signalfd below, never by the default disposition that would
+  // kill the process mid-ledger-line. SIGUSR1 asks for a metrics snapshot,
+  // not shutdown.
   sigset_t sigmask;
   sigemptyset(&sigmask);
   sigaddset(&sigmask, SIGINT);
@@ -301,7 +289,7 @@ int main(int argc, char** argv) {
   core::DlNode& node = replica->node();
   net::TcpEnv& env = replica->env();
   storage::LedgerStore* store = replica->store();
-  client::IngressShards* ingress = replica->ingress();
+  client::Gateway* gateway = replica->gateway();
   if (!flags.quiet && store != nullptr &&
       store->recovered().delivered_epochs > 0) {
     const auto& rec = store->recovered();
@@ -393,9 +381,9 @@ int main(int argc, char** argv) {
   if (flags.selfdrive) env.after(flags.tx_interval, submit_tick);
 
   // Graceful SIGINT/SIGTERM: flush the ledger, say Goodbye to clients, exit
-  // cleanly — never die mid-ledger-line. The signals were blocked before
-  // any thread was spawned (see above); they arrive on a signalfd
-  // multiplexed on the same epoll loop, so no async-signal-safety games.
+  // cleanly — never die mid-ledger-line. The signals were blocked above;
+  // they arrive on a signalfd multiplexed on the same epoll loop, so no
+  // async-signal-safety games.
   const int sfd = signalfd(-1, &sigmask, SFD_NONBLOCK | SFD_CLOEXEC);
   if (sfd < 0) {
     // No graceful path — restore default delivery so the process at least
@@ -420,7 +408,7 @@ int main(int argc, char** argv) {
       if (!flags.quiet) {
         std::fprintf(stderr, "dlnoded[%d]: signal: graceful shutdown\n", id);
       }
-      if (ingress != nullptr) ingress->shutdown();
+      if (gateway != nullptr) gateway->shutdown();
       if (ledger != nullptr) std::fflush(ledger);
       loop.stop();
     });
@@ -501,15 +489,14 @@ int main(int argc, char** argv) {
                    ss.appended_records, ss.appended_bytes, ss.drains,
                    ss.fsyncs, store->segment_count());
     }
-    if (ingress != nullptr) {
-      const client::Gateway::Stats gs = ingress->aggregate_stats();
-      const client::MempoolStats ms = ingress->aggregate_mempool_stats();
+    if (gateway != nullptr) {
+      const client::Gateway::Stats& gs = gateway->stats();
+      const client::MempoolStats& ms = gateway->mempool().stats();
       std::fprintf(stderr,
-                   "dlnoded[%d]: ingress: loops=%d submits=%" PRIu64
+                   "dlnoded[%d]: ingress: submits=%" PRIu64
                    " admitted=%" PRIu64 " committed=%" PRIu64
                    " dup=%" PRIu64 " full=%" PRIu64 " notified=%" PRIu64 "\n",
-                   id, ingress->shard_count(),
-                   gs.submits.load(), ms.admitted.load(), ms.committed.load(),
+                   id, gs.submits.load(), ms.admitted.load(), ms.committed.load(),
                    ms.dropped_duplicate.load(), ms.dropped_full.load(),
                    gs.commits_notified.load());
     }

@@ -53,37 +53,38 @@ Replica::Replica(net::EventLoop& home, const net::ClusterConfig& cluster,
                   ? std::make_unique<obs::FlightRecorder>()
                   : nullptr),
       env_(home, cluster, opt.id, env_options(opt)),
-      node_(node_config(cluster, opt), env_),
-      pool_(opt.workers > 0 ? std::make_unique<runtime::WorkerPool>(opt.workers)
-                            : nullptr) {
-  env_.set_worker_pool(pool_.get());
+      node_(node_config(cluster, opt), env_) {
   if (store_ != nullptr) node_.attach_store(store_.get());
   node_.set_flight_recorder(flight_.get());
 
-  if (opt.loops > 0) {
+  if (opt.client_plane) {
     const net::NodeAddr& me = cluster.nodes[static_cast<std::size_t>(opt.id)];
-    client::IngressShards::Options iopt;
-    iopt.shards = opt.loops;
-    iopt.mempool = opt.mempool;
+    client::Gateway::Sink sink;
+    sink.submit = [this](std::vector<Bytes> batch) {
+      for (Bytes& payload : batch) node_.submit(std::move(payload));
+    };
+    sink.queue_bytes = [this] { return node_.input_queue_bytes(); };
+    sink.max_block_bytes = node_.config().max_block_bytes;
+    client::MempoolOptions mempool = opt.mempool;
     // A transaction must fit into a block next to its header.
-    iopt.mempool.max_tx_bytes = std::min(iopt.mempool.max_tx_bytes,
-                                         node_.config().max_block_bytes / 2);
-    ingress_ = std::make_unique<client::IngressShards>(
-        node_, home, me.host, me.client_port, iopt);
+    mempool.max_tx_bytes =
+        std::min(mempool.max_tx_bytes, node_.config().max_block_bytes / 2);
+    gateway_ = std::make_unique<client::Gateway>(home, std::move(sink), me.host,
+                                                 me.client_port, mempool);
   }
 
   node_.set_delivery_callback([this](std::uint64_t at_epoch,
                                      core::BlockKey key,
                                      const core::BlockView& block, double now) {
     if (hook_) hook_(at_epoch, key, block, now);
-    if (ingress_ != nullptr) ingress_->on_block_delivered(at_epoch, key, block, now);
+    if (gateway_ != nullptr) notify_gateway(at_epoch, key, block, now);
   });
 
   const bool metrics = opt.metrics || opt.admin_port >= 0;
   if (metrics) {
     exporter_ = std::make_unique<obs::NodeExporter>(
         registry_,
-        obs::ExporterSources{node_, env_, home, ingress_.get(), store_.get()});
+        obs::ExporterSources{node_, env_, home, gateway_.get(), store_.get()});
   }
   if (opt.admin_port >= 0) {
     obs::AdminServer::Options aopt;
@@ -109,15 +110,31 @@ Replica::~Replica() {
   if (exporter_ != nullptr) loop_.set_task_histogram(nullptr);
 }
 
+void Replica::notify_gateway(std::uint64_t at_epoch, const core::BlockKey& key,
+                             const core::BlockView& block, double now) {
+  client::CommitBatch batch;
+  batch.at_epoch = at_epoch;
+  batch.proposer = static_cast<std::uint32_t>(key.proposer);
+  batch.delivered_at = now;
+  if (key.proposer == node_.config().self) {
+    if (const auto* st = node_.own_block_stages(key.epoch)) batch.stages = *st;
+  }
+  // Views into the delivered bytes, which live until the callback returns.
+  batch.payloads.reserve(block.txs.size());
+  for (const core::TxView& tx : block.txs) batch.payloads.push_back(tx.payload);
+  gateway_->on_commit_batch(batch);
+}
+
 void Replica::start(const RecoveredFn& recovered) {
-  if (store_ != nullptr && (ingress_ != nullptr || recovered)) {
+  if (store_ != nullptr && (gateway_ != nullptr || recovered)) {
     const int n = node_.config().n;
     store_->for_each_committed([&](const storage::BlockRecord& r) {
       const core::BlockView block = core::BlockView::decode_delivered(
           r.bad_uploader ? nullptr : &r.content, n);
-      if (ingress_ != nullptr) {
+      if (gateway_ != nullptr) {
         for (const core::TxView& tx : block.txs) {
-          ingress_->seed_committed(sha256(tx.payload), r.at_epoch, r.proposer);
+          gateway_->mempool().seed_committed(sha256(tx.payload), r.at_epoch,
+                                             r.proposer);
         }
       }
       if (recovered) recovered(r, block);
@@ -125,11 +142,11 @@ void Replica::start(const RecoveredFn& recovered) {
     });
   }
   env_.start(node_);
-  if (ingress_ != nullptr) ingress_->start();
+  if (gateway_ != nullptr) gateway_->start();
 }
 
 void Replica::stop() {
-  if (ingress_ != nullptr) ingress_->shutdown();
+  if (gateway_ != nullptr) gateway_->shutdown();
   if (store_ != nullptr) store_->sync();
 }
 

@@ -4,13 +4,12 @@
 // tests (app/loopback_cluster.hpp) and the sim-vs-real bench build replicas
 // only through it.
 //
+// A replica is one thread: every part runs on the caller's home loop.
 // Teardown order is the member declaration order below, reversed: admin,
-// exporter, ingress, worker pool, node, env, flight recorder, store,
-// registry. The worker pool's destructor runs its queued jobs, which use
-// the node, the env, the store and (through store drains) the registry's
-// histograms, so all of those outlive it; ingress, exporter and admin read
-// the node, env and store. docs/ARCHITECTURE.md ("Composition root") has
-// the full argument.
+// exporter, gateway, node, env, flight recorder, store, registry. The
+// gateway, exporter and admin read the node, env and store; store drains
+// observe the registry's histograms. docs/ARCHITECTURE.md ("Composition
+// root") has the full argument.
 //
 // Construct, start(), stop() and destroy on the home loop's thread, or
 // before it runs. The loop is the caller's and must outlive the replica;
@@ -25,14 +24,13 @@
 #include <string>
 
 #include "adversary/adversary.hpp"
-#include "client/ingress.hpp"
+#include "client/gateway.hpp"
 #include "dl/node.hpp"
 #include "net/tcp_env.hpp"
 #include "obs/admin.hpp"
 #include "obs/exporter.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/registry.hpp"
-#include "runtime/worker_pool.hpp"
 #include "storage/ledger_store.hpp"
 
 namespace dl::app {
@@ -44,10 +42,9 @@ struct ReplicaOptions {
   // --catchup-ms). n, f and self are taken from the cluster and `id`.
   core::NodeConfig node;
   adversary::RealAdversary adversary;  // --adversary
-  int workers = 0;                     // --workers (0: coding inline)
-  // --loops: client ingress shards on the node's client_port (0 there
-  // binds an ephemeral port). 0 shards: no client plane.
-  int loops = 1;
+  // A client gateway on the node's client_port (0 there binds an ephemeral
+  // port). dlnoded turns it off when the config gives no client_port.
+  bool client_plane = true;
   client::MempoolOptions mempool;
   std::string store_dir;               // --store; empty: no durability
   storage::FsyncPolicy fsync = storage::FsyncPolicy::kBatch;  // --fsync
@@ -86,20 +83,19 @@ class Replica {
     hook_ = std::move(hook);
   }
 
-  // Walks the recovered store prefix once: seeds every ingress committed
+  // Walks the recovered store prefix once: seeds the gateway's committed
   // ring (a resubmitted payload is answered Committed, not committed twice)
   // and hands each block to `recovered`. Then starts the transport and the
-  // client ingress. Call once.
+  // gateway. Call once.
   void start(const RecoveredFn& recovered = {});
 
-  // After the loop has stopped: Goodbye to clients and join shard threads
-  // (the ingress aggregates are exact from here on), then make everything
+  // After the loop has stopped: Goodbye to clients, then make everything
   // delivered durable. Idempotent. Destruction does the same on its own.
   void stop();
 
   net::TcpEnv& env() { return env_; }
   core::DlNode& node() { return node_; }
-  client::IngressShards* ingress() { return ingress_.get(); }
+  client::Gateway* gateway() { return gateway_.get(); }
   storage::LedgerStore* store() { return store_.get(); }
   obs::Registry& registry() { return registry_; }
   obs::NodeExporter* exporter() { return exporter_.get(); }
@@ -107,6 +103,10 @@ class Replica {
   obs::AdminServer* admin() { return admin_.get(); }
 
  private:
+  // Hands a delivered block's payloads to the gateway.
+  void notify_gateway(std::uint64_t at_epoch, const core::BlockKey& key,
+                      const core::BlockView& block, double now);
+
   net::EventLoop& loop_;
   core::DlNode::DeliveryFn hook_;
 
@@ -116,8 +116,7 @@ class Replica {
   std::unique_ptr<obs::FlightRecorder> flight_;
   net::TcpEnv env_;
   core::DlNode node_;
-  std::unique_ptr<runtime::WorkerPool> pool_;
-  std::unique_ptr<client::IngressShards> ingress_;
+  std::unique_ptr<client::Gateway> gateway_;
   std::unique_ptr<obs::NodeExporter> exporter_;
   std::unique_ptr<obs::AdminServer> admin_;
 };

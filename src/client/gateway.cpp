@@ -62,9 +62,6 @@ Gateway::Gateway(net::EventLoop& loop, Sink sink, const std::string& host,
   if (listen_fd_ < 0) throw std::runtime_error("Gateway: socket() failed");
   int one = 1;
   setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  // Every shard binds the same port; the kernel load-balances incoming
-  // connections across the listeners.
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one);
   sockaddr_in addr{};
   if (!resolve_ipv4(host, port, addr)) {
     close(listen_fd_);
@@ -97,10 +94,8 @@ void Gateway::start() {
 // --- mempool → node ----------------------------------------------------------
 
 void Gateway::drain_into_node() {
-  // One sink call per drain: on the node's loop the batch is submitted in
-  // place, from a shard thread it becomes ONE cross-thread post instead of
-  // one per transaction. `batch_bytes` accounts for what this drain already
-  // claimed, since a posted batch is not yet visible in the gauge.
+  // One sink call per drain. `batch_bytes` accounts for what this drain
+  // already claimed, since the batch is not yet visible in the gauge.
   std::size_t batch_bytes = 0;
   std::vector<Bytes> batch;
   while (sink_.queue_bytes() + batch_bytes < watermark_) {
@@ -121,6 +116,7 @@ void Gateway::pump() {
 }
 
 void Gateway::on_commit_batch(const CommitBatch& batch) {
+  if (shut_down_) return;
   if (mempool_.tracked_txs() == 0) {
     drain_into_node();
     return;
@@ -178,8 +174,11 @@ void Gateway::handle_listener(std::uint32_t /*events*/) {
             close_pending(fd);
           }
         });
+    // Until its ClientHello a connection may not declare a frame above the
+    // pre-auth budget, and its reader buffers at most that budget plus one
+    // frame header.
     pending_.emplace(
-        fd, PendingAccept{fd, id, timer, net::FrameReader(kMaxFrameBytes)});
+        fd, PendingAccept{fd, id, timer, net::FrameReader(kMaxPreAuthBytes)});
     loop_.add_fd(fd, EPOLLIN,
                  [this, fd](std::uint32_t ev) { handle_pending(fd, ev); });
   }
@@ -202,16 +201,12 @@ void Gateway::handle_pending(int fd, std::uint32_t events) {
     close_pending(fd);
     return;
   }
-  std::uint8_t buf[4096];
+  net::FrameReader& reader = it->second.reader;
   while (true) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
+    const ssize_t n = reader.fill_from(fd);
     if (n > 0) {
-      if (!it->second.reader.feed(ByteView(buf, static_cast<std::size_t>(n)))) {
-        close_pending(fd);
-        return;
-      }
-      Bytes fr;
-      if (it->second.reader.next(fr)) {
+      ByteView fr;
+      if (reader.next_view(fr)) {
         net::WireFrame wf;
         if (!net::decode_wire(fr, wf) ||
             wf.kind != net::WireKind::ClientHello) {
@@ -219,17 +214,18 @@ void Gateway::handle_pending(int fd, std::uint32_t events) {
           return;
         }
         if (it->second.timer != 0) loop_.cancel_timer(it->second.timer);
-        net::FrameReader reader = std::move(it->second.reader);
+        net::FrameReader authed = std::move(reader);
         pending_.erase(it);
-        adopt(fd, wf.client_nonce, std::move(reader));
+        adopt(fd, wf.client_nonce, std::move(authed));
         return;
       }
-      if (it->second.reader.buffered_bytes() > kMaxPreAuthBytes) {
+      if (reader.failed() || reader.buffered_bytes() > kMaxPreAuthBytes) {
         close_pending(fd);
         return;
       }
       continue;
     }
+    // EOF, a read error, or EPROTO from a poisoned reader.
     if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
       close_pending(fd);
       return;
@@ -252,6 +248,7 @@ void Gateway::adopt(int fd, std::uint64_t nonce, net::FrameReader&& reader) {
   c.fd = fd;
   c.nonce = nonce;
   c.reader = std::move(reader);
+  c.reader.set_max_frame(kMaxFrameBytes);
   loop_.del_fd(fd);  // swap the pre-auth handler for the client handler
   loop_.add_fd(fd, EPOLLIN, [this, nonce](std::uint32_t ev) {
     handle_client_event(nonce, ev);
@@ -281,15 +278,11 @@ void Gateway::handle_client_event(std::uint64_t nonce, std::uint32_t events) {
 }
 
 void Gateway::handle_readable(Conn& c) {
-  std::uint8_t buf[65536];
   while (c.fd >= 0) {
-    const ssize_t n = ::read(c.fd, buf, sizeof buf);
+    // The reader pulls straight from the socket into its pooled buffer and
+    // hands frames out as views: a payload is copied once, into the mempool.
+    const ssize_t n = c.reader.fill_from(c.fd);
     if (n > 0) {
-      if (!c.reader.feed(ByteView(buf, static_cast<std::size_t>(n)))) {
-        ++stats_.disconnects_bad;
-        close_client(c);
-        return;
-      }
       if (!drain_frames(c)) return;
       continue;
     }
@@ -299,14 +292,15 @@ void Gateway::handle_readable(Conn& c) {
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
+    if (errno == EPROTO) ++stats_.disconnects_bad;  // poisoned reader
     close_client(c);
     return;
   }
 }
 
 bool Gateway::drain_frames(Conn& c) {
-  Bytes fr;
-  while (c.fd >= 0 && c.reader.next(fr)) {
+  ByteView fr;
+  while (c.fd >= 0 && c.reader.next_view(fr)) {
     net::WireFrame wf;
     if (!net::decode_wire(fr, wf) || wf.kind != net::WireKind::SubmitTx) {
       // Only SubmitTx is legal after the handshake; anything else (or a

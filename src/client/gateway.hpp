@@ -7,14 +7,12 @@
 //          ◀──TxAck────            (watermarked)
 //          ◀──TxCommitted── on_commit_batch (hash-matched per tx)
 //
-// Threading: one Gateway is affine to ONE net::EventLoop — every method
-// below must run on that loop's thread. A
-// Gateway is one shard of client::IngressShards, which owns the wiring: a
-// lone shard runs on the node's own loop and its Sink calls DlNode::submit
-// in place; with N >= 2 shards each owns a loop + thread and the Sink posts
-// to the node loop. Every gateway binds with SO_REUSEPORT, so the shards
-// share one listen port and the kernel spreads accepted connections across
-// them (a connection then lives on its shard's loop for life).
+// Threading: a Gateway is affine to ONE net::EventLoop — every method
+// below must run on that loop's thread. app::Replica runs its one gateway
+// on the node's own loop: the Sink calls DlNode::submit in place, and the
+// delivery callback hands each block to on_commit_batch in place. The
+// listen socket is exclusive: a second gateway on a bound port fails to
+// bind.
 //
 // Hardening mirrors the replica transport: accepted sockets must complete a
 // ClientHello within a deadline and a small pre-auth byte budget; frames are
@@ -29,11 +27,7 @@
 // reconnecting client presents the same nonce and adopts its predecessor's
 // identity, so TxCommitted notifications for transactions admitted on the
 // old connection reach the new one; commits for clients that never return
-// are counted and dropped. (Sharded caveat: a reconnect may land on a
-// DIFFERENT shard, whose mempool has no record of the old shard's in-flight
-// payloads. Resubmissions then re-commit the payload at the ledger level —
-// but the client-visible exactly-once contract still holds, because
-// DlClient dedups commit notifications by seq.)
+// are counted and dropped.
 //
 // The pump: admitted payloads do NOT go straight into the node's unbounded
 // input queue. They sit in the mempool (whose caps implement backpressure)
@@ -45,7 +39,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,28 +52,23 @@
 
 namespace dl::client {
 
-// One delivered block's commit work, prepared once on the node loop and
-// fanned out to every gateway shard, immutable and shared. `payloads` views
-// each transaction payload, in block order, inside `content`, which the
-// batch keeps alive. Each shard matches the payloads against its own
-// mempool when it runs the batch, so a payload admitted after delivery but
-// before the shard gets to the batch still matches.
+// One delivered block's commit work. `payloads` views each transaction
+// payload, in block order, inside the delivered bytes, which stay alive for
+// the on_commit_batch call.
 struct CommitBatch {
   std::uint64_t at_epoch = 0;
   std::uint32_t proposer = 0;
   double delivered_at = 0;              // node-clock delivery stamp
   core::OwnBlockStages stages;          // zeros when not an own proposal
-  std::shared_ptr<const Bytes> content;
   std::vector<ByteView> payloads;
 };
 
 class Gateway {
  public:
   // Where admitted transactions go. Both hooks are invoked on the gateway's
-  // loop; `submit` must deliver the batch to the node (directly on the
-  // node's loop, or via a cross-thread post), `queue_bytes` must be safe to
-  // call from this thread (DlNode::input_queue_bytes is an atomic gauge).
-  // The pump stops while the node's queue holds 2 x max_block_bytes.
+  // loop: `submit` hands a batch to the node, `queue_bytes` reads the
+  // node's input queue. The pump stops while the node's queue holds
+  // 2 x max_block_bytes.
   struct Sink {
     std::function<void(std::vector<Bytes>)> submit;
     std::function<std::size_t()> queue_bytes;
@@ -110,9 +98,9 @@ class Gateway {
   std::uint16_t listen_port() const { return listen_port_; }
   void start();
 
-  // Delivery hook: applies a prepared batch — match every hash against
-  // this shard's mempool, notify owning clients (with the stage breakdown),
-  // refill the node. Runs on the gateway's loop.
+  // Delivery hook: applies a prepared batch — match every payload against
+  // the mempool, notify owning clients (with the stage breakdown), refill
+  // the node. Runs on the gateway's loop; a no-op after shutdown().
   void on_commit_batch(const CommitBatch& batch);
 
   // Graceful shutdown: stop accepting, send each client a Goodbye, flush

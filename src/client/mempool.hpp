@@ -37,7 +37,7 @@
 // first, and an open-addressing index of u32 slot numbers (linear probing,
 // at most half full, backward-shift deletion on eviction) for lookup by
 // hash. That is 88 bytes per remembered commit, about 5.5 MiB per mempool
-// (one per ingress shard) at the default 65,536 entries, with no allocation
+// (one per replica) at the default 65,536 entries, with no allocation
 // per commit. The slots are reserved up front but take memory only as
 // commits fill them; the index doubles as the ring fills.
 //
@@ -143,7 +143,7 @@ class Mempool {
                       std::uint32_t proposer);
 
   // Depth gauges mirror fifo_/tracked_ through relaxed atomics so they are
-  // readable from off-loop scrapers while the shard keeps running.
+  // readable from any thread while the gateway keeps running.
   std::size_t pending_txs() const { return pending_txs_.load(); }
   std::size_t pending_bytes() const { return pending_bytes_.load(); }
   std::size_t tracked_txs() const { return tracked_txs_.load(); }

@@ -14,8 +14,9 @@
 // epoch's chunk traffic on a saturated loopback cluster; the oldest kept
 // buffer is freed first.
 //
-// Thread-safe: a buffer is recycled where its last owner lets go (the home
-// loop after a write, a worker after a decode) and taken on any thread.
+// Thread-safe: a buffer is recycled where its last owner lets go (on a
+// replica, its home loop after a write or a decode) and taken on any
+// thread.
 #pragma once
 
 #include <cstddef>

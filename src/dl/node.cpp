@@ -329,28 +329,19 @@ void DlNode::propose_now() {
   retrievals_.put_local(BlockKey{e, cfg_.self}, enc);
   own_stages_[e].proposed = last_propose_time_;
 
-  // Disperse(B) as the client of our own VID instance. The erasure encode
+  // Disperse(B) as the client of our own VID instance: the erasure encode
   // and Merkle build (one batched tree per block) are the CPU-heavy half of
-  // proposing, so they go through the executor seam: off-loop when the Env
-  // has a worker pool, inline (identical event order) otherwise. The work
-  // closure touches only value captures and immutable config; it shares
-  // the block's bytes with the retrieval manager.
-  auto bodies = std::make_shared<std::vector<Bytes>>();
-  env_.offload(
-      [this, enc, bodies] {
-        *bodies = avid_m_disperse_bodies(vid_params_, *enc);
-      },
-      [this, e, bodies] {
-        Outbox out;
-        for (int i = 0; i < cfg_.n; ++i) {
-          OutMsg m;
-          m.to = i;
-          m.env.kind = MsgKind::VidChunk;
-          m.env.body = std::move((*bodies)[static_cast<std::size_t>(i)]);
-          out.push_back(std::move(m));
-        }
-        flush(std::move(out), e, static_cast<std::uint32_t>(cfg_.self));
-      });
+  // proposing.
+  std::vector<Bytes> bodies = avid_m_disperse_bodies(vid_params_, *enc);
+  Outbox out;
+  for (int i = 0; i < cfg_.n; ++i) {
+    OutMsg m;
+    m.to = i;
+    m.env.kind = MsgKind::VidChunk;
+    m.env.body = std::move(bodies[static_cast<std::size_t>(i)]);
+    out.push_back(std::move(m));
+  }
+  flush(std::move(out), e, static_cast<std::uint32_t>(cfg_.self));
 }
 
 // --- message handling --------------------------------------------------------
@@ -442,34 +433,19 @@ void DlNode::handle_return_chunk(int from, const EnvelopeView& env) {
   vid::ChunkView m;
   if (!vid::ChunkView::decode(env.body, m)) return;
   const BlockKey key{env.epoch, static_cast<int>(env.instance)};
-  if (retrievals_.feed_chunk(from, key, m) != RetrievalManager::Feed::kReady) {
-    return;
+  // The chunk that completes the retrieval runs the RS decode, re-encode
+  // and Merkle check in place.
+  if (!retrievals_.feed_chunk(from, key, m)) return;
+  // Newly decoded: tell the other servers to stop sending (§6.3).
+  if (cfg_.cancel_on_decode) {
+    Outbox out;
+    OutMsg cancel;
+    cancel.to = OutMsg::kAll;
+    cancel.env.kind = MsgKind::VidCancel;
+    out.push_back(std::move(cancel));
+    flush(std::move(out), env.epoch, env.instance);
   }
-  // Enough chunks: run the RS decode + re-encode + Merkle check through the
-  // executor seam. The accepted chunks move into the job, which owns them;
-  // the retrieval stays active (rejecting further chunks) until the
-  // continuation installs the outcome, which re-checks liveness in case it
-  // was released meanwhile.
-  auto job =
-      std::make_shared<const vid::DecodeJob>(retrievals_.take_decode_job(key));
-  auto result = std::make_shared<vid::DecodeResult>();
-  const std::uint64_t e = env.epoch;
-  const std::uint32_t instance = env.instance;
-  env_.offload(
-      [job, result] { *result = vid::avid_m_run_decode(*job); },
-      [this, key, e, instance, result] {
-        if (!retrievals_.finish_decode(key, std::move(*result))) return;
-        // Newly decoded: tell the other servers to stop sending (§6.3).
-        if (cfg_.cancel_on_decode) {
-          Outbox out;
-          OutMsg cancel;
-          cancel.to = OutMsg::kAll;
-          cancel.env.kind = MsgKind::VidCancel;
-          out.push_back(std::move(cancel));
-          flush(std::move(out), e, instance);
-        }
-        on_block_available(key);
-      });
+  on_block_available(key);
 }
 
 void DlNode::handle_cancel(int from, const EnvelopeView& env) {
@@ -745,11 +721,7 @@ void DlNode::deliver_content(std::uint64_t at_epoch, BlockKey key,
     if (it != own_stages_.end()) it->second.delivered = env_.now();
   }
 
-  if (on_deliver_) {
-    delivered_content_ = std::move(content);
-    on_deliver_(at_epoch, key, block, env_.now());
-    delivered_content_.reset();
-  }
+  if (on_deliver_) on_deliver_(at_epoch, key, block, env_.now());
 
   retrievals_.release(key);
   if (key.proposer == cfg_.self) {
@@ -818,11 +790,7 @@ void DlNode::note_activity(std::uint64_t epoch) {
 }
 
 void DlNode::request_store_drain() {
-  if (store_ == nullptr || store_drain_pending_) return;
-  store_drain_pending_ = true;
-  storage::LedgerStore* store = store_;
-  env_.offload([store] { store->drain(); },
-               [this] { store_drain_pending_ = false; });
+  if (store_ != nullptr) store_->drain();
 }
 
 // --- catch-up ----------------------------------------------------------------
@@ -861,67 +829,52 @@ void DlNode::handle_catch_up_request(int from, const EnvelopeView& env) {
   if (!CatchUpRequestMsg::decode(env.body, req)) return;
   if (store_ == nullptr || from == cfg_.self || from < 0) return;
   if (req.from_epoch != env.epoch) return;
-  if (!catch_up_serving_.insert(from).second) {
-    return;  // one serve per peer in flight (request-flood defense)
-  }
-
-  // Serving is store reads + one RS encode per block: all off-loop. The
-  // work closure touches only the (internally synchronized) store and value
-  // captures, per the offload contract.
-  storage::LedgerStore* store = store_;
-  const vid::Params params = vid_params_;
-  const int self = cfg_.self;
+  // Serving is store reads + one RS encode per block, all in this call, so
+  // a peer is served one request at a time.
   const std::uint64_t lo = req.from_epoch;
   const std::uint32_t window =
       std::clamp<std::uint32_t>(req.max_epochs, 1, kCatchUpWindow);
-  auto replies = std::make_shared<std::vector<Envelope>>();
-  auto frontier = std::make_shared<std::uint64_t>(0);
-  env_.offload(
-      [store, params, self, lo, window, replies, frontier] {
-        *frontier = store->delivered_frontier();
-        const std::uint64_t hi =
-            std::min<std::uint64_t>(*frontier, lo + window);
-        std::vector<storage::BlockRecord> blocks;
-        for (std::uint64_t e = lo; e < hi; ++e) {
-          if (!store->blocks_at(e, blocks)) break;
-          CatchUpChunkMsg m;
-          m.round_from = lo;
-          m.at_epoch = e;
-          m.block_count = static_cast<std::uint32_t>(blocks.size());
-          if (blocks.empty()) {
-            Envelope reply;
-            reply.kind = MsgKind::CatchUpChunk;
-            reply.epoch = e;
-            reply.body = m.encode();
-            replies->push_back(std::move(reply));
-            continue;
-          }
-          for (std::size_t i = 0; i < blocks.size(); ++i) {
-            m.block_index = static_cast<std::uint32_t>(i);
-            m.block_epoch = blocks[i].block_epoch;
-            m.proposer = blocks[i].proposer;
-            m.chunk = avid_m_disperse(
-                params, blocks[i].content)[static_cast<std::size_t>(self)];
-            Envelope reply;
-            reply.kind = MsgKind::CatchUpChunk;
-            reply.epoch = e;
-            reply.body = m.encode();
-            replies->push_back(std::move(reply));
-          }
-        }
-      },
-      [this, from, lo, replies, frontier] {
-        catch_up_serving_.erase(from);
-        for (Envelope& reply : *replies) {
-          const runtime::SendOpts opts = classify(reply, from);
-          env_.send(from, std::move(reply), opts);
-        }
-        Envelope done;
-        done.kind = MsgKind::CatchUpDone;
-        done.epoch = lo;
-        done.body = CatchUpDoneMsg{lo, *frontier}.encode();
-        env_.send(from, std::move(done), classify(done, from));
-      });
+  const std::uint64_t frontier = store_->delivered_frontier();
+  const std::uint64_t hi = std::min<std::uint64_t>(frontier, lo + window);
+  std::vector<Envelope> replies;
+  std::vector<storage::BlockRecord> blocks;
+  for (std::uint64_t e = lo; e < hi; ++e) {
+    if (!store_->blocks_at(e, blocks)) break;
+    CatchUpChunkMsg m;
+    m.round_from = lo;
+    m.at_epoch = e;
+    m.block_count = static_cast<std::uint32_t>(blocks.size());
+    if (blocks.empty()) {
+      Envelope reply;
+      reply.kind = MsgKind::CatchUpChunk;
+      reply.epoch = e;
+      reply.body = m.encode();
+      replies.push_back(std::move(reply));
+      continue;
+    }
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      m.block_index = static_cast<std::uint32_t>(i);
+      m.block_epoch = blocks[i].block_epoch;
+      m.proposer = blocks[i].proposer;
+      m.chunk = avid_m_disperse(vid_params_, blocks[i].content)
+          [static_cast<std::size_t>(cfg_.self)];
+      Envelope reply;
+      reply.kind = MsgKind::CatchUpChunk;
+      reply.epoch = e;
+      reply.body = m.encode();
+      replies.push_back(std::move(reply));
+    }
+  }
+
+  for (Envelope& reply : replies) {
+    const runtime::SendOpts opts = classify(reply, from);
+    env_.send(from, std::move(reply), opts);
+  }
+  Envelope done;
+  done.kind = MsgKind::CatchUpDone;
+  done.epoch = lo;
+  done.body = CatchUpDoneMsg{lo, frontier}.encode();
+  env_.send(from, std::move(done), classify(done, from));
 }
 
 void DlNode::handle_catch_up_done(int from, const EnvelopeView& env) {
@@ -989,7 +942,7 @@ void DlNode::handle_catch_up_chunk(int from, const EnvelopeView& env) {
     }
   }
 
-  if (slot.have || slot.decoding) {
+  if (slot.have) {
     try_install_catch_up();  // key may just have been confirmed
     return;
   }
@@ -997,40 +950,20 @@ void DlNode::handle_catch_up_chunk(int from, const EnvelopeView& env) {
     slot.retriever =
         std::make_unique<vid::AvidMRetriever>(vid_params_, cfg_.self);
   }
-  if (slot.retriever->offer_chunk(from, m.chunk)) {
-    slot.decoding = true;
-    auto job = std::make_shared<const vid::DecodeJob>(
-        slot.retriever->take_decode_job());
-    auto result = std::make_shared<vid::DecodeResult>();
-    const std::uint64_t at = m.at_epoch;
-    const std::uint32_t index = m.block_index;
-    const std::uint64_t round_from = round_.from;
-    env_.offload(
-        [job, result] { *result = vid::avid_m_run_decode(*job); },
-        [this, at, index, round_from, result] {
-          if (!round_.active || round_.from != round_from) return;
-          auto it = round_.epochs.find(at);
-          if (it == round_.epochs.end()) return;
-          auto sit = it->second.slots.find(index);
-          if (sit == it->second.slots.end()) return;
-          CatchUpSlot& slot = sit->second;
-          if (!slot.decoding || !slot.retriever) return;
-          slot.decoding = false;
-          if (result->bad_uploader) {
-            // An inconsistent chunk set needs n-2f same-root chunks yet at
-            // most f peers are faulty, so this cannot happen with the root
-            // of real committed content — some sender forged a root. Reset
-            // and keep collecting honest chunks.
-            slot.retriever = std::make_unique<vid::AvidMRetriever>(
-                vid_params_, cfg_.self);
-            return;
-          }
-          slot.content = share_buffer(std::move(result->block));
-          slot.retriever.reset();
-          slot.have = true;
-          try_install_catch_up();
-        });
+  if (!slot.retriever->handle_return_chunk(from, m.chunk)) return;
+  if (slot.retriever->bad_uploader()) {
+    // An inconsistent chunk set needs n-2f same-root chunks yet at most f
+    // peers are faulty, so this cannot happen with the root of real
+    // committed content — some sender forged a root. Reset and keep
+    // collecting honest chunks.
+    slot.retriever =
+        std::make_unique<vid::AvidMRetriever>(vid_params_, cfg_.self);
+    return;
   }
+  slot.content = share_buffer(slot.retriever->take_result());
+  slot.retriever.reset();
+  slot.have = true;
+  try_install_catch_up();
 }
 
 void DlNode::try_install_catch_up() {

@@ -154,7 +154,7 @@ class DlNode : public runtime::Receiver {
 
   // Invoked for every delivered (executed) block, in delivery order —
   // identical across correct nodes. `block` views the delivered bytes and
-  // is valid during the call only; delivered_content() shares those bytes.
+  // is valid during the call only.
   using DeliveryFn =
       std::function<void(std::uint64_t epoch_delivered_in, BlockKey key,
                          const BlockView& block, double now)>;
@@ -170,8 +170,8 @@ class DlNode : public runtime::Receiver {
   void set_flight_recorder(obs::FlightRecorder* fr) { flight_ = fr; }
   // Live backlog of submitted-but-not-yet-proposed transactions (wire
   // bytes). The client gateway uses this as its pump watermark so the
-  // mempool, not this unbounded queue, absorbs ingress bursts. Thread-safe
-  // gauge: gateway shards on other loops read it without posting.
+  // mempool, not this unbounded queue, absorbs ingress bursts. A relaxed
+  // atomic, so the metrics plane may read it from any thread.
   std::size_t input_queue_bytes() const {
     return input_queue_bytes_.load(std::memory_order_relaxed);
   }
@@ -191,13 +191,6 @@ class DlNode : public runtime::Receiver {
   // consumer reads it here instead of hashing the block again. Valid
   // during the delivery callback. Home-loop only.
   const Hash& delivered_block_digest() const { return delivered_digest_; }
-  // The bytes of the block being delivered, as retrieved, shared: a
-  // consumer that reads the BlockView's payloads after the delivery
-  // callback returns keeps these alive. Valid during the delivery
-  // callback. Home-loop only.
-  const std::shared_ptr<const Bytes>& delivered_content() const {
-    return delivered_content_;
-  }
   std::uint64_t next_epoch_to_deliver() const { return deliver_next_; }
 
   // Durable storage. Call before start(): replays the store's committed
@@ -280,8 +273,8 @@ class DlNode : public runtime::Receiver {
   PrefixSet retired_;  // epochs freed by maybe_retire()
   RetrievalManager retrievals_;
 
-  // Input queue. The byte gauge is atomic only so off-loop gateway shards
-  // can read the watermark; all mutation happens on the home loop.
+  // Input queue. The byte gauge is atomic only so that it may be read from
+  // any thread; all mutation happens on the home loop.
   std::deque<Transaction> input_queue_;
   std::atomic<std::size_t> input_queue_bytes_{0};
 
@@ -306,7 +299,6 @@ class DlNode : public runtime::Receiver {
   obs::FlightRecorder* flight_ = nullptr;
   Hash fingerprint_{};
   Hash delivered_digest_{};  // see delivered_block_digest()
-  std::shared_ptr<const Bytes> delivered_content_;  // see delivered_content()
 
   // --- durability + catch-up state --------------------------------------
   storage::LedgerStore* store_ = nullptr;
@@ -316,7 +308,6 @@ class DlNode : public runtime::Receiver {
   // state is gone, so all_ba_output() could never turn true again).
   std::uint64_t vote_floor_ = 0;
   std::uint64_t closed_floor_ = 0;
-  bool store_drain_pending_ = false;
 
   // One catch-up round at a time. Slots are keyed by delivery position
   // within an epoch; every per-peer map doubles as the f+1 agreement vote.
@@ -326,7 +317,6 @@ class DlNode : public runtime::Receiver {
     std::uint64_t block_epoch = 0;
     std::uint32_t proposer = 0;
     std::unique_ptr<vid::AvidMRetriever> retriever;
-    bool decoding = false;
     bool have = false;
     std::shared_ptr<const Bytes> content;
   };
@@ -346,7 +336,6 @@ class DlNode : public runtime::Receiver {
   CatchUpRound round_;
   std::uint64_t last_probe_deliver_ = 0;  // progress check between ticks
   bool catch_up_timer_armed_ = false;
-  std::set<int> catch_up_serving_;  // peers with a serve offload in flight
 };
 
 }  // namespace dl::core

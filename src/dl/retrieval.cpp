@@ -17,23 +17,15 @@ bool RetrievalManager::ensure_started(BlockKey key, Outbox& out) {
   return inserted;
 }
 
-RetrievalManager::Feed RetrievalManager::feed_chunk(
-    int from, BlockKey key, const vid::ChunkView& m) {
+bool RetrievalManager::feed_chunk(int from, BlockKey key,
+                                  const vid::ChunkView& m) {
   auto it = active_.find(key);
-  if (it == active_.end()) return Feed::kNotReady;  // stale or never requested
-  return it->second.offer_chunk(from, m) ? Feed::kReady : Feed::kNotReady;
-}
-
-vid::DecodeJob RetrievalManager::take_decode_job(BlockKey key) {
-  return active_.at(key).take_decode_job();
-}
-
-bool RetrievalManager::finish_decode(BlockKey key, vid::DecodeResult r) {
-  auto it = active_.find(key);
-  if (it == active_.end()) return false;  // released while decoding
+  if (it == active_.end()) return false;  // stale or never requested
+  vid::AvidMRetriever& r = it->second;
+  if (!r.handle_return_chunk(from, m)) return false;
   done_keys_.insert(key);
-  if (r.bad_uploader) bad_.insert(key);
-  content_.emplace(key, share_buffer(std::move(r.block)));
+  if (r.bad_uploader()) bad_.insert(key);
+  content_.emplace(key, share_buffer(r.take_result()));
   active_.erase(it);
   ++completed_;
   return true;

@@ -6,8 +6,7 @@
 // proposal time, no network needed) and completed retrievals. Content is
 // freed once the block has been delivered — the manager is the node's
 // working set, not an archive. Each block's bytes are held once, behind a
-// shared pointer, so work that outlives a delivery (an offloaded dispersal,
-// a commit batch on an ingress shard) shares them instead of copying.
+// shared pointer, which the node's own dispersal shares instead of copying.
 #pragma once
 
 #include <cstdint>
@@ -90,20 +89,11 @@ class RetrievalManager {
   bool in_flight(BlockKey key) const { return active_.contains(key); }
   std::size_t active_count() const { return active_.size(); }
 
-  // Feeds one ReturnChunk. kReady means enough chunks are buffered to
-  // decode: the caller takes take_decode_job(), runs avid_m_run_decode
-  // (inline or offloaded), and installs the outcome via finish_decode.
-  // While a decode is pending the retrieval rejects further chunks.
-  enum class Feed { kNotReady, kReady };
-  Feed feed_chunk(int from, BlockKey key, const vid::ChunkView& m);
-
-  // Moves the decode inputs out of a retrieval feed_chunk reported ready.
-  vid::DecodeJob take_decode_job(BlockKey key);
-
-  // Installs a decode outcome, moving the block in. Returns true if the
-  // retrieval was still live (content is now available; caller should
-  // broadcast VidCancel).
-  bool finish_decode(BlockKey key, vid::DecodeResult r);
+  // Feeds one ReturnChunk. The chunk that completes a retrieval decodes
+  // the block in place; returns true exactly then (the content, or the
+  // BAD_UPLOADER sentinel, is now available; the caller should broadcast
+  // VidCancel).
+  bool feed_chunk(int from, BlockKey key, const vid::ChunkView& m);
 
   // Frees the stored bytes of a delivered block.
   void release(BlockKey key);

@@ -76,7 +76,7 @@ struct ThreadCache {
 
   ~ThreadCache() {
     // Thread exit: hand everything to the global pool so buffers released
-    // on short-lived threads (worker pools, ingress shard loops) are not lost.
+    // on short-lived threads (a test's loop thread, say) are not lost.
     GlobalPool& g = global_pool();
     std::lock_guard<std::mutex> lk(g.mu);
     for (std::size_t c = 0; c < BufferPool::kClasses; ++c) {

@@ -1,16 +1,15 @@
 // Size-classed buffer pool with thread-aware free lists.
 //
 // The replica data plane recycles a small set of buffer shapes at high
-// rates: FrameReader read buffers, outbound frame slabs, cross-loop receive
-// batches. Allocating them fresh costs a malloc/free pair per frame burst;
+// rates: FrameReader read buffers, outbound frame slabs, block buffers.
+// Allocating them fresh costs a malloc/free pair per frame burst;
 // BufferPool instead keeps per-size-class free lists with two tiers:
 //
 //   thread cache — a small per-thread stack per class (no synchronization;
 //                  the common acquire/release path touches no shared state);
 //   global pool  — a mutex-guarded backstop per class that overflowing or
 //                  cross-thread releases fall back to, so buffers released
-//                  on one thread are reusable on another (a buffer filled
-//                  on an ingress shard's loop, released on the node loop).
+//                  on one thread are reusable on another.
 //
 // Buffers above the largest class fall through to plain new[]/delete[].
 // Under AddressSanitizer every pooled-but-free buffer is poisoned, so a

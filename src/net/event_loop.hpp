@@ -1,11 +1,11 @@
 // Epoll event loop with timerfd-backed timers and a thread-safe mailbox.
 //
 // This is the real-time analogue of sim::EventQueue: a clock that starts
-// near zero, ordered timers, and fd readiness callbacks. A process may run
-// several loops (dlnoded with --loops N >= 2 shards client ingress across N
-// of them besides the home loop that runs the replica); all loops in one
-// process share a single clock epoch, so `now()` values taken on different
-// loops are directly comparable (cross-loop stage timing depends on this).
+// near zero, ordered timers, and fd readiness callbacks. A replica runs on
+// one loop, its home loop; a process may still run several (a load
+// generator beside in-process replicas, say), and all loops in one process
+// share a single clock epoch, so `now()` values taken on different loops
+// are directly comparable.
 //
 // Threading contract (enforced by convention, checked under TSan):
 //

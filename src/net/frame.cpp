@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -303,8 +304,15 @@ ssize_t FrameReader::fill_from(int fd) {
       want = need - buffered_bytes();
     }
   }
+  // Never hold more than one largest frame and its header: a reader with a
+  // small limit (a connection before its handshake) stays within it.
+  const std::size_t limit = max_frame_ + kFrameHeaderBytes;
+  const bool capped = buffered_bytes() < limit;
+  if (capped) want = std::min(want, limit - buffered_bytes());
   ensure_spare(want);
-  const ssize_t n = ::read(fd, buf_.data() + size_, buf_.capacity() - size_);
+  std::size_t room = buf_.capacity() - size_;
+  if (capped) room = std::min(room, limit - buffered_bytes());
+  const ssize_t n = ::read(fd, buf_.data() + size_, room);
   if (n > 0) {
     size_ += static_cast<std::size_t>(n);
     check_header();

@@ -176,9 +176,11 @@ class FrameReader {
   bool feed(ByteView in);
 
   // Reads once from `fd` straight into the buffer tail, growing it so the
-  // frame in progress fits. Returns read(2)'s result: >0 bytes buffered,
-  // 0 on EOF, -1 with errno set (including EPROTO if the reader is or
-  // becomes poisoned). Callers must still check failed() after draining.
+  // frame in progress fits; never buffers more than max_frame plus one
+  // header, so a small limit also bounds the buffer. Returns read(2)'s
+  // result: >0 bytes buffered, 0 on EOF, -1 with errno set (including
+  // EPROTO if the reader is or becomes poisoned). Callers must still check
+  // failed() after draining.
   ssize_t fill_from(int fd);
 
   // Points `out` at the next complete frame payload (valid until the next
@@ -190,6 +192,9 @@ class FrameReader {
 
   bool failed() const { return failed_; }
   std::size_t buffered_bytes() const { return size_ - pos_; }
+  // Changes the frame limit for the frames not yet popped (a connection
+  // that passed its handshake may send larger frames than before it).
+  void set_max_frame(std::size_t max_frame) { max_frame_ = max_frame; }
 
   // Forgets everything and returns the buffer to the pool (fresh connection
   // reusing the reader).

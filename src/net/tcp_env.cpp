@@ -270,20 +270,6 @@ void TcpEnv::cancel_send(std::uint64_t tag) {
   }
 }
 
-void TcpEnv::offload(std::function<void()> work, std::function<void()> done) {
-  if (pool_ == nullptr) {
-    // No pool configured: run the simulator's synchronous schedule.
-    work();
-    done();
-    return;
-  }
-  pool_->submit(
-      [this, work = std::move(work), done = std::move(done)]() mutable {
-        work();
-        loop_.post(std::move(done));
-      });
-}
-
 void TcpEnv::deliver_local(std::shared_ptr<const Bytes> env_bytes) {
   // Asynchronous like every other delivery: the receiver is never re-entered
   // from inside its own send path.

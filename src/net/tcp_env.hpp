@@ -57,7 +57,6 @@
 #include "net/frame.hpp"
 #include "net/shaper.hpp"
 #include "runtime/env.hpp"
-#include "runtime/worker_pool.hpp"
 
 namespace dl::net {
 
@@ -102,12 +101,6 @@ class TcpEnv final : public runtime::Env {
   // Updates a peer's port before start() (port-0 discovery in tests).
   void set_peer_port(int id, std::uint16_t port);
 
-  // Optional executor for offload(); set before start(). The pool must
-  // outlive every in-flight job but be destroyed before the loop stops
-  // servicing posts (dlnoded: pool is destroyed after loop.run() returns,
-  // which is fine — orphaned completions die in the loop's mailbox).
-  void set_worker_pool(runtime::WorkerPool* pool) { pool_ = pool; }
-
   // Injects the Receiver and schedules one home-loop task that registers the
   // listener, begins dialing and calls the Receiver's start(). Call once
   // (from any thread, before or while the home loop runs), then loop.run().
@@ -130,9 +123,6 @@ class TcpEnv final : public runtime::Env {
   void cancel_send(std::uint64_t tag) override;
   // Thread-safe: posts fn to the home loop.
   void defer(std::function<void()> fn) override { loop_.post(std::move(fn)); }
-  // With a worker pool: `work` runs on a pool thread, `done` is posted back
-  // to the home loop. Without one: both run inline (the sim schedule).
-  void offload(std::function<void()> work, std::function<void()> done) override;
 
   // --- backpressure / health accounting -----------------------------------
   struct PeerStats {
@@ -279,7 +269,6 @@ class TcpEnv final : public runtime::Env {
   int self_;
   Options opt_;
   runtime::Receiver* receiver_ = nullptr;
-  runtime::WorkerPool* pool_ = nullptr;
   int listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;
   bool started_ = false;

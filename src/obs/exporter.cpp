@@ -1,6 +1,6 @@
 #include "obs/exporter.hpp"
 
-#include "client/ingress.hpp"
+#include "client/gateway.hpp"
 #include "dl/node.hpp"
 #include "net/buffer_pool.hpp"
 #include "net/event_loop.hpp"
@@ -11,24 +11,6 @@ namespace dl::obs {
 
 namespace {
 constexpr std::memory_order relaxed = std::memory_order_relaxed;
-}
-
-void NodeExporter::add_loop(Registry& reg, const std::string& label,
-                            const net::EventLoop* loop) {
-  LoopSeries s;
-  s.loop = loop;
-  const std::string l = "loop=\"" + label + "\"";
-  s.polls = reg.counter("dl_loop_polls_total", "epoll_wait returns", l);
-  s.wakes = reg.counter("dl_loop_wakes_total", "cross-thread eventfd kicks", l);
-  s.drains = reg.counter("dl_loop_drains_total",
-                         "mailbox drain passes that ran tasks", l);
-  s.tasks = reg.counter("dl_loop_tasks_total", "posted tasks executed", l);
-  s.timers = reg.counter("dl_loop_timers_total", "timer callbacks fired", l);
-  s.last_drain = reg.gauge("dl_loop_last_drain_tasks",
-                           "tasks consumed by the most recent drain "
-                           "(mailbox depth proxy)",
-                           l);
-  loops_.push_back(s);
 }
 
 NodeExporter::NodeExporter(Registry& reg, ExporterSources src)
@@ -116,15 +98,20 @@ NodeExporter::NodeExporter(Registry& reg, ExporterSources src)
   c_shaper_throttles_ = reg.counter("dl_shaper_throttle_waits_total",
                                     "take() calls that returned 0");
 
-  add_loop(reg, "home", &src_.home_loop);
-  if (src_.ingress != nullptr) {
-    // Only shards with their own loop: a lone shard runs on the home loop.
-    for (int i = 0; i < src_.ingress->shard_count(); ++i) {
-      if (const net::EventLoop* l = src_.ingress->shard_loop(i)) {
-        add_loop(reg, "shard" + std::to_string(i), l);
-      }
-    }
-  }
+  const std::string home = "loop=\"home\"";
+  c_loop_polls_ = reg.counter("dl_loop_polls_total", "epoll_wait returns", home);
+  c_loop_wakes_ =
+      reg.counter("dl_loop_wakes_total", "cross-thread eventfd kicks", home);
+  c_loop_drains_ = reg.counter("dl_loop_drains_total",
+                               "mailbox drain passes that ran tasks", home);
+  c_loop_tasks_ =
+      reg.counter("dl_loop_tasks_total", "posted tasks executed", home);
+  c_loop_timers_ =
+      reg.counter("dl_loop_timers_total", "timer callbacks fired", home);
+  g_loop_last_drain_ = reg.gauge("dl_loop_last_drain_tasks",
+                                 "tasks consumed by the most recent drain "
+                                 "(mailbox depth proxy)",
+                                 home);
 
   c_pool_fresh_ = reg.counter("dl_bufpool_fresh_allocs_total",
                               "buffers served by new[]");
@@ -135,7 +122,7 @@ NodeExporter::NodeExporter(Registry& reg, ExporterSources src)
   c_pool_huge_ = reg.counter("dl_bufpool_huge_allocs_total",
                              "above-largest-class allocations (not pooled)");
 
-  if (src_.ingress != nullptr) {
+  if (src_.gateway != nullptr) {
     c_gw_accepted_ = reg.counter("dl_gateway_accepted_total",
                                  "client sockets past ClientHello");
     g_gw_active_ =
@@ -230,16 +217,14 @@ void NodeExporter::refresh() {
   c_shaper_lost_bytes_->set(sh.lost_bytes);
   c_shaper_throttles_->set(sh.throttle_waits);
 
-  for (LoopSeries& l : loops_) {
-    const auto& st = l.loop->stats();
-    l.polls->set(st.polls.load(relaxed));
-    l.wakes->set(st.wakes.load(relaxed));
-    l.drains->set(st.drains.load(relaxed));
-    l.tasks->set(st.tasks.load(relaxed));
-    l.timers->set(st.timers.load(relaxed));
-    l.last_drain->set(
-        static_cast<std::int64_t>(st.last_drain_tasks.load(relaxed)));
-  }
+  const auto& ls = src_.home_loop.stats();
+  c_loop_polls_->set(ls.polls.load(relaxed));
+  c_loop_wakes_->set(ls.wakes.load(relaxed));
+  c_loop_drains_->set(ls.drains.load(relaxed));
+  c_loop_tasks_->set(ls.tasks.load(relaxed));
+  c_loop_timers_->set(ls.timers.load(relaxed));
+  g_loop_last_drain_->set(
+      static_cast<std::int64_t>(ls.last_drain_tasks.load(relaxed)));
 
   const net::BufferPool::Stats ps = net::BufferPool::stats();
   c_pool_fresh_->set(ps.fresh_allocs);
@@ -247,8 +232,8 @@ void NodeExporter::refresh() {
   c_pool_releases_->set(ps.releases);
   c_pool_huge_->set(ps.huge_allocs);
 
-  if (src_.ingress != nullptr) {
-    const client::Gateway::Stats gs = src_.ingress->aggregate_stats();
+  if (src_.gateway != nullptr) {
+    const client::Gateway::Stats& gs = src_.gateway->stats();
     c_gw_accepted_->set(gs.accepted);
     g_gw_active_->set(static_cast<std::int64_t>(gs.active.load()));
     c_gw_submits_->set(gs.submits);
@@ -256,7 +241,7 @@ void NodeExporter::refresh() {
     c_gw_clientless_->set(gs.commits_clientless);
     c_gw_slow_->set(gs.disconnects_slow);
     c_gw_bad_->set(gs.disconnects_bad);
-    const client::MempoolStats ms = src_.ingress->aggregate_mempool_stats();
+    const client::MempoolStats& ms = src_.gateway->mempool().stats();
     c_mp_admitted_->set(ms.admitted);
     c_mp_admitted_bytes_->set(ms.admitted_bytes);
     c_mp_drop_dup_->set(ms.dropped_duplicate);
@@ -282,10 +267,10 @@ std::string NodeExporter::delta_line(double now) {
   const core::NodeStats& s = src_.node.stats();
   cur.delivered_epochs = s.delivered_epochs;
   cur.delivered_tx = s.delivered_tx_count;
-  if (src_.ingress != nullptr) {
-    const client::Gateway::Stats gs = src_.ingress->aggregate_stats();
+  if (src_.gateway != nullptr) {
+    const client::Gateway::Stats& gs = src_.gateway->stats();
     cur.submits = gs.submits;
-    const client::MempoolStats ms = src_.ingress->aggregate_mempool_stats();
+    const client::MempoolStats& ms = src_.gateway->mempool().stats();
     cur.admitted = ms.admitted;
     cur.drops = static_cast<std::uint64_t>(ms.dropped_duplicate) +
                 ms.dropped_full + ms.dropped_oversize;
@@ -308,7 +293,7 @@ std::string NodeExporter::delta_line(double now) {
   line.f("t", now);
   line.kv("epochs", cur.delivered_epochs)
       .rate("tx", cur.delivered_tx - prev.delivered_tx, dt);
-  if (src_.ingress != nullptr) {
+  if (src_.gateway != nullptr) {
     line.rate("submits", cur.submits - prev.submits, dt)
         .rate("admits", cur.admitted - prev.admitted, dt)
         .kv("drops", cur.drops);

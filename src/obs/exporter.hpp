@@ -10,8 +10,8 @@
 // --stats-interval timer and the SIGUSR1 handler all live there). Sources
 // split into two groups:
 //   - thread-safe anywhere: TcpEnv peer/shaper stats, BufferPool,
-//     LedgerStore, EventLoop::stats(), IngressShards aggregates, Mempool
-//     counters (all relaxed atomics or internally locked);
+//     LedgerStore, EventLoop::stats(), Gateway and Mempool counters (all
+//     relaxed atomics or internally locked);
 //   - home-loop-affine: DlNode::stats() — safe precisely because the hook
 //     runs on the home loop.
 // Keep that split in mind before snapshotting from any other thread.
@@ -36,7 +36,7 @@ class TcpEnv;
 class EventLoop;
 }  // namespace dl::net
 namespace dl::client {
-class IngressShards;
+class Gateway;
 }
 namespace dl::storage {
 class LedgerStore;
@@ -48,14 +48,14 @@ struct ExporterSources {
   core::DlNode& node;
   net::TcpEnv& env;
   const net::EventLoop& home_loop;
-  client::IngressShards* ingress = nullptr;  // null without a client plane
+  client::Gateway* gateway = nullptr;       // null without a client plane
   storage::LedgerStore* store = nullptr;    // null without --store
 };
 
 class NodeExporter {
  public:
   // Registers all instruments on `reg` and installs the mirroring sample
-  // hook. A null ingress or store skips its metric group. `reg` and all
+  // hook. A null gateway or store skips its metric group. `reg` and all
   // sources must outlive the exporter, and the registry must not snapshot
   // after a source dies: app::Replica owns them all and fixes that order.
   NodeExporter(Registry& reg, ExporterSources src);
@@ -115,19 +115,13 @@ class NodeExporter {
   Counter* c_shaper_lost_bytes_ = nullptr;
   Counter* c_shaper_throttles_ = nullptr;
 
-  // event loops (home + transport + ingress shards)
-  struct LoopSeries {
-    const net::EventLoop* loop = nullptr;
-    Counter* polls = nullptr;
-    Counter* wakes = nullptr;
-    Counter* drains = nullptr;
-    Counter* tasks = nullptr;
-    Counter* timers = nullptr;
-    Gauge* last_drain = nullptr;
-  };
-  std::vector<LoopSeries> loops_;
-  void add_loop(Registry& reg, const std::string& label,
-                const net::EventLoop* loop);
+  // the home event loop (loop="home")
+  Counter* c_loop_polls_ = nullptr;
+  Counter* c_loop_wakes_ = nullptr;
+  Counter* c_loop_drains_ = nullptr;
+  Counter* c_loop_tasks_ = nullptr;
+  Counter* c_loop_timers_ = nullptr;
+  Gauge* g_loop_last_drain_ = nullptr;
 
   // buffer pool
   Counter* c_pool_fresh_ = nullptr;
@@ -135,7 +129,7 @@ class NodeExporter {
   Counter* c_pool_releases_ = nullptr;
   Counter* c_pool_huge_ = nullptr;
 
-  // gateway / mempool (aggregated across shards)
+  // gateway / mempool
   Counter* c_gw_accepted_ = nullptr;
   Gauge* g_gw_active_ = nullptr;
   Counter* c_gw_submits_ = nullptr;

@@ -2,9 +2,9 @@
 // histograms, scrapeable live while every loop keeps running.
 //
 // Shape of the problem: a replica's stats live in many places — EventLoop
-// drain counters on the home and shard loops, PeerCounters inside TcpEnv,
-// mempool admit/drop tallies on ingress shards, LedgerStore fsync counts
-// behind the worker pool. The registry gives them one export surface with two rules:
+// drain counters, PeerCounters inside TcpEnv, gateway and mempool
+// admit/drop tallies, LedgerStore fsync counts. The registry gives them one
+// export surface with two rules:
 //
 //   update side — Counter/Gauge are single relaxed atomics; Histogram is a
 //     relaxed fetch_add into one of ~160 fixed buckets. All are safe to hit

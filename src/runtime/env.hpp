@@ -2,7 +2,7 @@
 //
 // dl::core::DlNode (and everything layered on it) talks to its surroundings
 // exclusively through this interface — a clock, timers, peer-addressed
-// envelope delivery, and an executor seam for CPU-heavy work. Two backends
+// envelope delivery, and a way back onto its own loop. Two backends
 // implement it:
 //
 //   runtime::SimEnv  — the deterministic discrete-event simulator (virtual
@@ -33,25 +33,13 @@
 //   cancel_send   | home loop    |
 //   defer         | any thread   | fn runs later on the home loop, never
 //                 |              | inline in the caller
-//   offload       | home loop    | see below
 //
-// offload(work, done): `work` is a closure over value-captured inputs that
-// must not touch node or Env state; `done` runs on the home loop after
-// `work` returns and may touch everything. The simulator (and a TcpEnv
-// without a worker pool) runs both synchronously inline — callers must be
-// correct under either schedule, which the continuation style forces. A
-// TcpEnv with a WorkerPool runs `work` on a pool thread and posts `done`
-// home: that is how erasure coding and Merkle hashing leave the hot loop.
+// CPU-heavy work (erasure coding, Merkle hashing, store drains) runs inline
+// on the home loop: a replica is one thread.
 //
 // The Receiver is injected at start time (TcpEnv::start(Receiver&),
 // SimEnv::attach(Receiver&)) — there is no mutable bind() — so by the time
-// any callback can fire, the receiver wiring is already published to every
-// thread involved.
-//
-// A backend may run additional private threads below this contract (a
-// worker pool behind offload()), but those are invisible here:
-// send/broadcast are called only on the home loop, and on_receive fires
-// only on the home loop. Cross-thread handoff is the backend's problem.
+// any callback can fire, the receiver wiring is already in place.
 #pragma once
 
 #include <cstdint>
@@ -133,13 +121,8 @@ class Env {
   // Home loop only.
   virtual void cancel_send(std::uint64_t tag) = 0;
 
-  // Executor seam. defer() is the thread-safe way back to the home loop;
-  // offload() pushes CPU-heavy, state-free `work` off-loop (when the
-  // backend has somewhere to push it) and runs `done` on the home loop
-  // afterwards. See the threading-contract table above for the exact
-  // schedule each backend guarantees.
+  // The thread-safe way back to the home loop: `fn` runs there later.
   virtual void defer(std::function<void()> fn) = 0;
-  virtual void offload(std::function<void()> work, std::function<void()> done) = 0;
 };
 
 }  // namespace dl::runtime

@@ -50,13 +50,6 @@ void SimEnv::cancel_send(std::uint64_t tag) { net_.cancel_egress(id_, tag); }
 
 void SimEnv::defer(std::function<void()> fn) { eq_.after(0, std::move(fn)); }
 
-void SimEnv::offload(std::function<void()> work, std::function<void()> done) {
-  // Synchronous on purpose: determinism requires the offloaded computation
-  // to schedule exactly the same events as inline code would.
-  work();
-  done();
-}
-
 void SimEnv::start() {
   if (receiver_ != nullptr) receiver_->start();
 }

@@ -8,11 +8,8 @@
 // code did. Sweep JSON is byte-identical either way (tests assert this).
 //
 // Threading: the simulator is single-threaded, so the Env contract is
-// implemented trivially — the "home loop" is the simulation thread,
-// defer() is an EventQueue task at the current virtual time, and
-// offload(work, done) runs both synchronously inline. Inline execution is
-// load-bearing for determinism: an offloaded computation schedules the
-// exact same events as the pre-offload synchronous code.
+// implemented trivially — the "home loop" is the simulation thread and
+// defer() is an EventQueue task at the current virtual time.
 #pragma once
 
 #include "runtime/env.hpp"
@@ -40,7 +37,6 @@ class SimEnv final : public Env, public sim::Host {
   void broadcast(const Envelope& env, const SendOpts& opts) override;
   void cancel_send(std::uint64_t tag) override;
   void defer(std::function<void()> fn) override;
-  void offload(std::function<void()> work, std::function<void()> done) override;
 
   // --- sim::Host ----------------------------------------------------------
   void start() override;

@@ -229,7 +229,22 @@ DecodeJob::~DecodeJob() {
   for (Bytes& slot : slots) recycle_buffer(std::move(slot));
 }
 
-DecodeResult avid_m_run_decode(const DecodeJob& job) {
+namespace {
+
+struct DecodeResult {
+  Bytes block;  // the block bytes, or bytes(kBadUploader)
+  bool bad_uploader = false;
+};
+
+// Decode from the collected chunks, then RE-ENCODE and check the Merkle
+// root — the AVID-M verification (Fig. 4, steps 2-4).
+//
+// The chunks decode used re-encode to themselves exactly when they are
+// canonical (ReedSolomon::decode), so their verified leaf hashes stand in
+// for re-hashing them: only the chunks not used are re-created, a tile at
+// a time, and hashed. A non-canonical set is BAD_UPLOADER, as the full
+// re-encode would find (a used chunk would differ from its re-encoding).
+DecodeResult run_decode(const DecodeJob& job) {
   const ReedSolomon rs(job.p.data_shards(), job.p.n);
   DecodeResult out;
   out.bad_uploader = true;
@@ -270,8 +285,10 @@ DecodeResult avid_m_run_decode(const DecodeJob& job) {
   return out;
 }
 
-bool AvidMRetriever::offer_chunk(int from, const ChunkView& m) {
-  if (done_ || decoding_ || from < 0 || from >= p_.n ||
+}  // namespace
+
+bool AvidMRetriever::handle_return_chunk(int from, const ChunkView& m) {
+  if (done_ || from < 0 || from >= p_.n ||
       seen_[static_cast<std::size_t>(from)]) {
     return false;
   }
@@ -296,28 +313,16 @@ bool AvidMRetriever::offer_chunk(int from, const ChunkView& m) {
   pr.job.leaves[static_cast<std::size_t>(from)] = leaf;
   if (++pr.count < p_.data_shards()) return false;
 
-  // Enough chunks share this root: freeze and decode (possibly off-loop).
-  decoding_ = true;
+  // Enough chunks share this root: decode from them. No other root can
+  // decode afterwards, so every other collected chunk goes back now.
   chunk_root_ = m.root;
-  return true;
-}
-
-DecodeJob AvidMRetriever::take_decode_job() {
-  DecodeJob job = std::move(per_root_.at(chunk_root_).job);
-  // Frozen until complete(), and done after it: no other root can decode.
+  const DecodeJob job = std::move(pr.job);
   per_root_.clear();
-  return job;
-}
-
-void AvidMRetriever::complete(DecodeResult r) {
+  DecodeResult r = run_decode(job);
   done_ = true;
-  decoding_ = false;
   bad_uploader_ = r.bad_uploader;
   result_ = std::move(r.block);
-}
-
-void AvidMRetriever::handle_return_chunk(int from, const ChunkView& m) {
-  if (offer_chunk(from, m)) complete(avid_m_run_decode(take_decode_job()));
+  return true;
 }
 
 }  // namespace dl::vid

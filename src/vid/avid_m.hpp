@@ -22,7 +22,7 @@
 // Buffer ownership: handlers take received chunks as ChunkViews into the
 // message. A chunk is copied once, where it is kept: the server's own chunk,
 // and each chunk a retriever accepts. The accepted chunks then move into
-// the DecodeJob, which owns everything a worker thread reads.
+// the DecodeJob, which owns everything the decode reads.
 //
 // The caller assigns epoch/instance ids when wrapping bodies in Envelopes.
 #pragma once
@@ -126,9 +126,8 @@ class AvidMServer {
   bool released_ = false;
 };
 
-// A decode attempt detached from retriever state: every input is owned by
-// value, so avid_m_run_decode() may run on a worker thread while the
-// retriever lives on (and keeps rejecting chunks) on the home loop.
+// The chunks a retriever accepted under one root: everything a decode
+// reads, owned by value.
 struct DecodeJob {
   DecodeJob() = default;
   DecodeJob(DecodeJob&&) = default;
@@ -143,21 +142,6 @@ struct DecodeJob {
   std::vector<Hash> leaves;
 };
 
-struct DecodeResult {
-  Bytes block;  // the block bytes, or bytes(kBadUploader)
-  bool bad_uploader = false;
-};
-
-// Decode from the collected chunks, then RE-ENCODE and check the Merkle
-// root — the AVID-M verification (Fig. 4, steps 2-4). Pure function.
-//
-// The chunks decode used re-encode to themselves exactly when they are
-// canonical (ReedSolomon::decode), so their verified leaf hashes stand in
-// for re-hashing them: only the chunks not used are re-created, a tile at
-// a time, and hashed. A non-canonical set is BAD_UPLOADER, as the full
-// re-encode would find (a used chunk would differ from its re-encoding).
-DecodeResult avid_m_run_decode(const DecodeJob& job);
-
 class AvidMRetriever {
  public:
   AvidMRetriever(Params p, int self);
@@ -165,25 +149,18 @@ class AvidMRetriever {
   // Emits the RequestChunk broadcast.
   void begin(Outbox& out);
 
-  // Feeds one ReturnChunk; ignores invalid proofs and duplicate senders.
-  // Decodes inline once N−2f chunks share a root (single-threaded path).
-  void handle_return_chunk(int from, const ChunkView& m);
-
-  // Split pipeline for offloaded decoding:
-  //   offer_chunk()      — verify a chunk and keep a copy of it; true once
-  //                        enough chunks share a root (the retriever then
-  //                        stops accepting chunks until complete()).
-  //   take_decode_job()  — moves the decode inputs out; call once after
-  //                        offer_chunk() returned true.
-  //   complete()         — install the outcome; done() becomes true.
-  bool offer_chunk(int from, const ChunkView& m);
-  DecodeJob take_decode_job();
-  void complete(DecodeResult r);
+  // Feeds one ReturnChunk; ignores invalid proofs, duplicate senders and
+  // everything after done(). Once N−2f chunks share a root it decodes them
+  // and runs the AVID-M check in place, and returns true: done() holds
+  // from then on.
+  bool handle_return_chunk(int from, const ChunkView& m);
 
   bool done() const { return done_; }
   // The retrieved block; equals bytes("BAD_UPLOADER") when the disperser
   // equivocated. Valid once done().
   const Bytes& result() const { return result_; }
+  // Moves the retrieved block out (result() is empty afterwards).
+  Bytes take_result() { return std::move(result_); }
   bool bad_uploader() const { return bad_uploader_; }
   // Root of the chunk set actually decoded from (valid once done()).
   const Hash& chunk_root() const { return chunk_root_; }
@@ -198,7 +175,6 @@ class AvidMRetriever {
   };
   std::map<Hash, PerRoot> per_root_;
   std::vector<bool> seen_;
-  bool decoding_ = false;  // decode job handed out, outcome pending
   bool done_ = false;
   bool bad_uploader_ = false;
   Bytes result_;

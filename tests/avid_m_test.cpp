@@ -475,17 +475,24 @@ TEST(AvidMDecode, HashesOnlyTheRecreatedLeaves) {
   // Data and parity chunks received, in either order.
   for (const std::vector<int>& got :
        {std::vector<int>{0, 1, 2}, {1, 4, 6}, {6, 5, 3}}) {
-    AvidMRetriever r(p, 0);
-    for (std::size_t j = 0; j + 1 < got.size(); ++j) {
-      ASSERT_FALSE(r.offer_chunk(got[j], msgs[static_cast<std::size_t>(got[j])]));
+    // What accepting the received chunks costs: a leaf hash and a proof
+    // check each. The retrieval spends this before it decodes.
+    std::uint64_t accepting = 0;
+    for (const int i : got) {
+      const ChunkMsg& m = msgs[static_cast<std::size_t>(i)];
+      before = sha256_compressions();
+      ASSERT_TRUE(merkle_verify_hash(m.root, merkle_leaf_hash(m.chunk), m.proof));
+      accepting += sha256_compressions() - before;
     }
-    ASSERT_TRUE(r.offer_chunk(got.back(), msgs[static_cast<std::size_t>(got.back())]));
-    const DecodeJob job = r.take_decode_job();
+    AvidMRetriever r(p, 0);
     before = sha256_compressions();
-    const DecodeResult out = avid_m_run_decode(job);
-    const std::uint64_t used = sha256_compressions() - before;
-    ASSERT_FALSE(out.bad_uploader);
-    EXPECT_EQ(out.block, block);
+    for (std::size_t j = 0; j + 1 < got.size(); ++j) {
+      ASSERT_FALSE(r.handle_return_chunk(got[j], msgs[static_cast<std::size_t>(got[j])]));
+    }
+    ASSERT_TRUE(r.handle_return_chunk(got.back(), msgs[static_cast<std::size_t>(got.back())]));
+    const std::uint64_t used = sha256_compressions() - before - accepting;
+    ASSERT_FALSE(r.bad_uploader());
+    EXPECT_EQ(r.result(), block);
     // The N-K re-created leaves and the inner nodes; the K received leaves
     // were hashed once, when their proofs were checked.
     EXPECT_EQ(used, 4 * tagged_compressions(chunk) + inner);

@@ -1,8 +1,7 @@
 // The client ingress plane, end to end and fully in-process: a 4-replica
-// app::LoopbackCluster over real loopback TCP, each replica fronted by a
-// one-shard client::IngressShards (a Gateway + Mempool on the shared loop,
-// as dlnoded runs with --loops 1), driven ONLY by dl::client::DlClient
-// submissions — no synthetic workload.
+// app::LoopbackCluster over real loopback TCP, each replica fronted by its
+// client::Gateway (and Mempool) on the shared loop, as dlnoded runs it,
+// driven ONLY by dl::client::DlClient submissions — no synthetic workload.
 // Every submitted transaction must be acked, committed exactly once, and
 // observed with monotone commit epochs; replica ledgers must agree.
 #include <gtest/gtest.h>
@@ -12,9 +11,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <filesystem>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -48,7 +47,7 @@ struct Cluster : app::LoopbackCluster {
     return o;
   }
 
-  IngressShards& ingress(int i) { return *(*this)[i].ingress(); }
+  Gateway& gateway(int i) { return *(*this)[i].gateway(); }
 };
 
 Bytes unique_payload(std::uint64_t stream, std::uint64_t i, std::size_t n = 64) {
@@ -68,8 +67,8 @@ TEST(ClientE2E, TwoHundredTxsCommitExactlyOnceWithMonotoneEpochs) {
 
   // Two clients on different replicas (commit notifications must route to
   // the right gateway and the right connection).
-  DlClient c0(cluster.loop(), "127.0.0.1", cluster.ingress(0).listen_port());
-  DlClient c1(cluster.loop(), "127.0.0.1", cluster.ingress(2).listen_port());
+  DlClient c0(cluster.loop(), "127.0.0.1", cluster.gateway(0).listen_port());
+  DlClient c1(cluster.loop(), "127.0.0.1", cluster.gateway(2).listen_port());
   c0.start();
   c1.start();
 
@@ -159,17 +158,17 @@ TEST(ClientE2E, TwoHundredTxsCommitExactlyOnceWithMonotoneEpochs) {
   }
 
   // Gateways accounted one admission and one notification per transaction.
-  const Gateway::Stats g0 = cluster.ingress(0).aggregate_stats();
+  const Gateway::Stats& g0 = cluster.gateway(0).stats();
   EXPECT_EQ(g0.submits, kTxs / 2);
   EXPECT_EQ(g0.commits_notified, kTxs / 2);
-  EXPECT_EQ(cluster.ingress(0).aggregate_mempool_stats().committed,
+  EXPECT_EQ(cluster.gateway(0).mempool().stats().committed,
             kTxs / 2);
 }
 
 TEST(ClientE2E, DuplicateSubmissionAckedDuplicateAndCommittedOnce) {
   Cluster cluster;
   DlClient cli(cluster.loop(), "127.0.0.1",
-               cluster.ingress(1).listen_port());
+               cluster.gateway(1).listen_port());
   cli.start();
 
   std::vector<net::TxStatus> acks;
@@ -188,7 +187,7 @@ TEST(ClientE2E, DuplicateSubmissionAckedDuplicateAndCommittedOnce) {
   EXPECT_EQ(acks[1], net::TxStatus::Duplicate);
   EXPECT_EQ(cli.stats().committed, 1u);
   EXPECT_EQ(
-      cluster.ingress(1).aggregate_mempool_stats().dropped_duplicate,
+      cluster.gateway(1).mempool().stats().dropped_duplicate,
       1u);
 }
 
@@ -197,7 +196,7 @@ TEST(ClientE2E, OversizeSubmissionRejectedTerminally) {
   mempool.max_tx_bytes = 128;
   Cluster cluster(mempool);
   DlClient cli(cluster.loop(), "127.0.0.1",
-               cluster.ingress(0).listen_port());
+               cluster.gateway(0).listen_port());
   cli.start();
 
   net::TxStatus last{};
@@ -209,24 +208,57 @@ TEST(ClientE2E, OversizeSubmissionRejectedTerminally) {
   EXPECT_EQ(cli.stats().outstanding, 0u);
 }
 
-TEST(ClientE2E, GarbageOnClientPortIsDroppedNotFatal) {
-  // A raw socket spraying garbage at the gateway must get disconnected
-  // while a well-behaved client on the same gateway keeps committing.
-  Cluster cluster;
-  DlClient cli(cluster.loop(), "127.0.0.1",
-               cluster.ingress(0).listen_port());
-  cli.start();
-
-  const int raw = socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(raw, 0);
+// A raw TCP connection to `port` on loopback.
+int connect_raw(std::uint16_t port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(cluster.ingress(0).listen_port());
+  addr.sin_port = htons(port);
   inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(raw, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-  // A valid-looking header declaring a huge frame, then junk.
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// True once the peer has closed `fd` (EOF or reset); never blocks.
+bool peer_closed(int fd) {
+  std::uint8_t buf[256];
+  while (true) {
+    const ssize_t n = recv(fd, buf, sizeof buf, MSG_DONTWAIT);
+    if (n > 0) continue;  // drain anything the gateway sent first
+    return n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+  }
+}
+
+TEST(ClientE2E, GarbageOnClientPortIsDroppedNotFatal) {
+  // Two raw sockets spray garbage at the gateway: one before any
+  // ClientHello, one after it. Both must get disconnected, only the second
+  // counted as a bad client, while a well-behaved client on the same
+  // gateway keeps committing.
+  Cluster cluster;
+  const std::uint16_t port = cluster.gateway(0).listen_port();
+  DlClient cli(cluster.loop(), "127.0.0.1", port);
+  cli.start();
+
+  // Before the handshake: junk where the ClientHello should be.
+  const int pre_auth = connect_raw(port);
+  ASSERT_GE(pre_auth, 0);
   const Bytes junk = random_bytes(512, 99);
-  ASSERT_GT(send(raw, junk.data(), junk.size(), 0), 0);
+  ASSERT_GT(send(pre_auth, junk.data(), junk.size(), 0), 0);
+
+  // After the handshake: a header declaring a frame above the gateway's
+  // limit, then junk; the reader is poisoned before it buffers the body.
+  const int authed = connect_raw(port);
+  ASSERT_GE(authed, 0);
+  Bytes bad = net::encode_client_hello(0xbad);
+  const Bytes huge_header = {0xf0, 0xff, 0xff, 0x0f};
+  bad.insert(bad.end(), huge_header.begin(), huge_header.end());
+  bad.insert(bad.end(), junk.begin(), junk.end());
+  ASSERT_EQ(send(authed, bad.data(), bad.size(), 0),
+            static_cast<ssize_t>(bad.size()));
 
   std::uint64_t submitted = 0;
   std::function<void()> feed = [&] {
@@ -236,15 +268,21 @@ TEST(ClientE2E, GarbageOnClientPortIsDroppedNotFatal) {
     }
   };
   cluster.loop().after(0.0, feed);
-  ASSERT_TRUE(cluster.run_until([&] { return cli.stats().committed >= 20; }));
-  close(raw);
+  ASSERT_TRUE(cluster.run_until([&] {
+    return cli.stats().committed >= 20 && peer_closed(pre_auth) &&
+           peer_closed(authed);
+  }));
+  close(pre_auth);
+  close(authed);
   EXPECT_EQ(cli.stats().committed, 20u);
+  EXPECT_EQ(cluster.gateway(0).stats().disconnects_bad, 1u);
+  EXPECT_EQ(cluster.gateway(0).stats().accepted, 2u);  // cli and `authed`
 }
 
 TEST(ClientE2E, GatewayShutdownSendsGoodbye) {
   Cluster cluster;
   DlClient cli(cluster.loop(), "127.0.0.1",
-               cluster.ingress(3).listen_port());
+               cluster.gateway(3).listen_port());
   cli.start();
 
   cluster.loop().after(0.0, [&] { cli.submit(unique_payload(5, 0)); });
@@ -252,7 +290,7 @@ TEST(ClientE2E, GatewayShutdownSendsGoodbye) {
 
   // Graceful shutdown: the client must observe a Goodbye (remote_closed)
   // rather than a reconnect loop against a dead port.
-  cluster.loop().post([&] { cluster.ingress(3).shutdown(); });
+  cluster.loop().post([&] { cluster.gateway(3).shutdown(); });
   ASSERT_TRUE(cluster.run_until([&] { return cli.remote_closed(); }, 10.0));
   EXPECT_FALSE(cli.connected());
 }
@@ -289,12 +327,12 @@ TEST(ClientE2E, PayloadPendingHereThatCommitsElsewhereIsNotifiedOnce) {
   });
   cluster.start();
   DlClient cli(cluster.loop(), "127.0.0.1",
-               cluster[0].ingress()->listen_port());
+               cluster[0].gateway()->listen_port());
   cli.start();
   cli.set_ack_callback([&](std::uint64_t, net::TxStatus st) {
     ASSERT_EQ(st, net::TxStatus::Accepted);
     // Admitted at replica 0 and pending there: now replica 1 gets it too.
-    EXPECT_EQ(cluster[0].ingress()->aggregate_mempool_stats().admitted, 1u);
+    EXPECT_EQ(cluster[0].gateway()->mempool().stats().admitted, 1u);
     cluster[1].node().submit(payload);
   });
   cluster.loop().after(0.0, [&] {
@@ -310,41 +348,109 @@ TEST(ClientE2E, PayloadPendingHereThatCommitsElsewhereIsNotifiedOnce) {
   ASSERT_TRUE(cluster.run_until([&] { return epochs_after_fillers >= 20; }, 60.0));
   EXPECT_EQ(payload_commits, 1);
   EXPECT_EQ(cli.stats().committed, 1u);
-  EXPECT_EQ(cluster[0].ingress()->aggregate_stats().commits_notified, 1u);
-  EXPECT_EQ(cluster[0].ingress()->aggregate_mempool_stats().committed, 1u);
+  EXPECT_EQ(cluster[0].gateway()->stats().commits_notified, 1u);
+  EXPECT_EQ(cluster[0].gateway()->mempool().stats().committed, 1u);
 }
 
-int thread_count() {
-  int n = 0;
-  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
-    (void)task;
-    ++n;
-  }
-  return n;
+// A client port is exclusive: a second gateway cannot bind it, so a
+// second replica process on the same port fails at startup instead of
+// silently taking half of the clients.
+TEST(ClientE2E, SecondGatewayOnABoundClientPortIsRefused) {
+  net::EventLoop loop;
+  app::Replica replica(loop, app::loopback_config(4), app::ReplicaOptions{});
+  const std::uint16_t port = replica.gateway()->listen_port();
+  ASSERT_NE(port, 0);
+  Gateway::Sink sink;
+  sink.submit = [](std::vector<Bytes>) {};
+  sink.queue_bytes = [] { return std::size_t{0}; };
+  EXPECT_THROW(Gateway(loop, sink, "127.0.0.1", port, MempoolOptions{}),
+               std::runtime_error);
 }
 
-TEST(ClientE2E, OneShardIngressStartsNoThreadAndCommitsOnTheHomeLoop) {
-  // A dedicated thread for a lone shard costs peak throughput; the shard
-  // must run on the node's own loop. Building the cluster includes every
-  // replica's IngressShards::start().
-  const int before = thread_count();
-  Cluster cluster;
-  EXPECT_EQ(thread_count(), before);
-
-  DlClient cli(cluster.loop(), "127.0.0.1",
-               cluster.ingress(2).listen_port());
-  cli.start();
-  int most_threads = before;
-  cluster.loop().after(0.0, [&] {
-    for (std::uint64_t i = 0; i < 5; ++i) cli.submit(unique_payload(6, i));
+// One gateway serving several clients through a real 4-replica cluster
+// (the other replicas take no clients), with connection churn: one client
+// disconnects and a fresh session joins mid-run. Every submitted
+// transaction must be observed committed exactly once by its submitter,
+// and the gateway's counters must account for all of it.
+TEST(ClientE2E, GatewayCommitsAcrossConnectionChurn) {
+  app::LoopbackCluster cluster(app::loopback_config(4), [](int i) {
+    app::ReplicaOptions o = Cluster::options({});
+    o.client_plane = i == 0;
+    return o;
   });
+  net::EventLoop& loop = cluster.loop();
+  Gateway& gateway = *cluster[0].gateway();
+  ASSERT_NE(gateway.listen_port(), 0);
+  cluster.start();
+
+  constexpr int kClients = 3;
+  constexpr std::uint64_t kPerClient = 20;
+  std::vector<std::unique_ptr<DlClient>> clients;
+  std::vector<std::set<std::uint64_t>> committed(kClients + 1);
+  std::uint64_t dup_commits = 0;
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(
+        std::make_unique<DlClient>(loop, "127.0.0.1", gateway.listen_port()));
+    clients.back()->set_commit_callback(
+        [&, c](std::uint64_t seq, std::uint64_t, std::uint32_t, double,
+               const net::StageLatencies&) {
+          if (!committed[static_cast<std::size_t>(c)].insert(seq).second) {
+            ++dup_commits;
+          }
+        });
+    clients.back()->start();
+  }
+
+  std::vector<std::uint64_t> submitted(kClients, 0);
+  std::function<void()> feed = [&] {
+    for (int c = 0; c < kClients; ++c) {
+      if (submitted[static_cast<std::size_t>(c)] < kPerClient) {
+        clients[static_cast<std::size_t>(c)]->submit(
+            unique_payload(static_cast<std::uint64_t>(c) + 1,
+                           submitted[static_cast<std::size_t>(c)]++));
+      }
+    }
+    if (submitted[0] < kPerClient) loop.after(0.002, feed);
+  };
+  loop.after(0.0, feed);
+
   ASSERT_TRUE(cluster.run_until([&] {
-    most_threads = std::max(most_threads, thread_count());
-    return cli.stats().committed >= 5;
-  }));
-  EXPECT_EQ(most_threads, before);
-  EXPECT_EQ(cli.stats().committed, 5u);
-  EXPECT_EQ(cluster.ingress(2).aggregate_stats().commits_notified, 5u);
+    for (int c = 0; c < kClients; ++c) {
+      if (committed[static_cast<std::size_t>(c)].size() < kPerClient) {
+        return false;
+      }
+    }
+    return true;
+  })) << "committed " << committed[0].size() << "/" << committed[1].size()
+      << "/" << committed[2].size();
+
+  // Churn: drop client 0, bring up a NEW session that must still commit.
+  clients[0]->close();
+  clients.push_back(
+      std::make_unique<DlClient>(loop, "127.0.0.1", gateway.listen_port()));
+  clients.back()->set_commit_callback(
+      [&](std::uint64_t seq, std::uint64_t, std::uint32_t, double,
+          const net::StageLatencies&) {
+        committed[kClients].insert(seq);
+      });
+  clients.back()->start();
+  loop.after(0.0, [&] {
+    for (std::uint64_t i = 0; i < 5; ++i) {
+      clients.back()->submit(unique_payload(99, i));
+    }
+  });
+  ASSERT_TRUE(cluster.run_until([&] { return committed[kClients].size() >= 5; }));
+
+  EXPECT_EQ(dup_commits, 0u);
+  for (auto& c : clients) c->close();
+  gateway.shutdown();
+
+  // The gateway saw every submit and notified every commit exactly once.
+  constexpr std::uint64_t kTotal = kClients * kPerClient + 5;
+  EXPECT_EQ(gateway.stats().submits, kTotal);
+  EXPECT_EQ(gateway.stats().commits_notified, kTotal);
+  EXPECT_EQ(gateway.mempool().stats().admitted, kTotal);
+  EXPECT_EQ(gateway.mempool().stats().committed, kTotal);
 }
 
 }  // namespace

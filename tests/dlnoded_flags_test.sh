@@ -46,10 +46,13 @@ reject --id 1x
 reject --id ""
 reject --id 0 --target-epochs -1
 reject --id 0 --target-epochs 5e
-reject --id 0 --workers -2
-reject --id 0 --loops +1
-reject --id 0 --loops 99999999999999999999
+reject --id 0 --admin-port -2
+reject --id 0 --tx-bytes +1
+reject --id 0 --propose-size 99999999999999999999
+# Threading flags that no longer exist: a replica is one thread.
 reject --id 0 --net-loops 2
+reject --id 0 --loops 2
+reject --id 0 --workers 1
 reject --id 0 --tx-interval-ms -5
 reject --id 0 --max-seconds nan
 reject --id 0 --linger-seconds inf
@@ -57,7 +60,7 @@ reject --id 0 --admin-port 70000
 
 # Well-formed flags pass parsing and reach the config check, which rejects
 # the out-of-range id without the usage text.
-code=$(run --id 7 --workers 0 --tx-interval-ms 2.5 --max-seconds 1e1)
+code=$(run --id 7 --tx-bytes 16 --tx-interval-ms 2.5 --max-seconds 1e1)
 if [ "$code" != 2 ] || ! grep -q 'out of range' "$WORK/err"; then
   echo "FAIL: well-formed flags exited $code without the range error" >&2
   cat "$WORK/err" >&2

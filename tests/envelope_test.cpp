@@ -111,26 +111,22 @@ TEST(RetrievalManager, CompletesAfterKChunks) {
   Outbox out;
   rm.ensure_started(key, out);
   // K = N - 2f = 2 chunks needed.
-  EXPECT_EQ(rm.feed_chunk(0, key, make_chunk(p, block, 0)),
-            RetrievalManager::Feed::kNotReady);
-  EXPECT_EQ(rm.feed_chunk(1, key, make_chunk(p, block, 1)),
-            RetrievalManager::Feed::kReady);
-  // The decode runs wherever the caller wants; install the outcome.
-  EXPECT_TRUE(rm.finish_decode(key, vid::avid_m_run_decode(rm.take_decode_job(key))));
+  EXPECT_FALSE(rm.feed_chunk(0, key, make_chunk(p, block, 0)));
+  // The second chunk decodes the block in place.
+  EXPECT_TRUE(rm.feed_chunk(1, key, make_chunk(p, block, 1)));
   EXPECT_TRUE(rm.has(key));
   EXPECT_FALSE(rm.is_bad(key));
   EXPECT_EQ(rm.get(key), block);
   EXPECT_EQ(rm.completed_retrievals(), 1u);
   // Late chunks are ignored (retrieval gone from the active set).
-  EXPECT_EQ(rm.feed_chunk(2, key, make_chunk(p, block, 2)),
-            RetrievalManager::Feed::kNotReady);
+  EXPECT_FALSE(rm.feed_chunk(2, key, make_chunk(p, block, 2)));
 }
 
 TEST(RetrievalManager, ChunksForUnknownKeyIgnored) {
   const vid::Params p{4, 1};
   RetrievalManager rm(p, 0);
-  EXPECT_EQ(rm.feed_chunk(0, BlockKey{9, 9 % 4}, make_chunk(p, bytes_of("x"), 0)),
-            RetrievalManager::Feed::kNotReady);
+  EXPECT_FALSE(
+      rm.feed_chunk(0, BlockKey{9, 9 % 4}, make_chunk(p, bytes_of("x"), 0)));
 }
 
 TEST(RetrievalManager, ReleaseFreesContentButStaysDone) {

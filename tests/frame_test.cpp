@@ -220,6 +220,34 @@ TEST(Frame, FillFromReadsSocketsDirectly) {
   ::close(fds[0]);
 }
 
+// A connection before its handshake reads with a small limit; the reader
+// must not buffer more than one frame of that limit however much is sent.
+TEST(Frame, FillFromBuffersAtMostOneFrameOfItsLimit) {
+  constexpr std::size_t kLimit = 4096;
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  Bytes stream;
+  std::vector<Bytes> payloads = {random_bytes(kLimit, 41)};
+  for (int i = 0; i < 40; ++i) {
+    payloads.push_back(random_bytes(100, 42 + static_cast<std::uint64_t>(i)));
+  }
+  for (const Bytes& p : payloads) append_frame(stream, p);
+  ASSERT_EQ(::send(fds[1], stream.data(), stream.size(), 0),
+            static_cast<ssize_t>(stream.size()));
+  ::close(fds[1]);
+
+  FrameReader r(kLimit);
+  std::size_t seen = 0;
+  ByteView v;
+  while (seen < payloads.size()) {
+    ASSERT_GT(r.fill_from(fds[0]), 0);
+    EXPECT_LE(r.buffered_bytes(), kLimit + kFrameHeaderBytes);
+    while (r.next_view(v)) EXPECT_TRUE(equal(v, payloads[seen++]));
+  }
+  EXPECT_EQ(r.fill_from(fds[0]), 0);
+  ::close(fds[0]);
+}
+
 TEST(Frame, FillFromRefusesPoisonedReader) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);

@@ -271,7 +271,7 @@ app::ReplicaOptions self_filling() {
   o.node.propose_delay = 0.003;
   o.node.backlog_tx_bytes = 64;
   o.node.max_block_bytes = 4096;
-  o.loops = 0;
+  o.client_plane = false;
   return o;
 }
 

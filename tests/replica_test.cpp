@@ -1,16 +1,14 @@
-// app::Replica as a unit: its teardown order and its restart replay.
+// app::Replica as a unit: its restart replay, its delivered digests, and
+// its one thread.
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "app/loopback_cluster.hpp"
@@ -27,39 +25,6 @@ struct TempDir {
   }
   ~TempDir() { std::filesystem::remove_all(path); }
 };
-
-// A worker pool's destructor runs the jobs still queued on it, and a store
-// drain observes the registry's dl_store_drain_us histogram, so the
-// registry must outlive the pool. Otherwise a replica with a store, workers
-// and metrics frees the histogram before its last drain (heap-use-after-free
-// in Histogram::observe under ASan; an abort at exit without it). Without
-// ASan the test still checks that the queued drain ran.
-TEST(Replica, TeardownRunsQueuedStoreDrainsWhileTheRegistryLives) {
-  TempDir dir;
-  net::EventLoop loop;
-  std::atomic<bool> drained{false};
-  {
-    app::ReplicaOptions opt;
-    opt.workers = 1;
-    opt.store_dir = dir.path;
-    opt.metrics = true;
-    opt.loops = 0;
-    app::Replica replica(loop, app::loopback_config(4), opt);
-    storage::LedgerStore* store = replica.store();
-    // Keep the lone worker busy so the drain is still queued when the
-    // replica is destroyed.
-    replica.env().offload(
-        [] { std::this_thread::sleep_for(std::chrono::milliseconds(50)); },
-        [] {});
-    replica.env().offload(
-        [store, &drained] {
-          store->drain();
-          drained = true;
-        },
-        [] {});
-  }
-  EXPECT_TRUE(drained.load());
-}
 
 app::ReplicaOptions durable(const std::string& dir) {
   app::ReplicaOptions o;
@@ -87,7 +52,7 @@ TEST(Replica, RestartAnswersACommittedPayloadFromTheRecoveredStore) {
     app::LoopbackCluster cluster(app::loopback_config(kN), options);
     cluster.start();
     client::DlClient cli(cluster.loop(), "127.0.0.1",
-                         cluster[kEntry].ingress()->listen_port());
+                         cluster[kEntry].gateway()->listen_port());
     cli.set_commit_callback([&](std::uint64_t, std::uint64_t epoch,
                                 std::uint32_t, double,
                                 const net::StageLatencies&) {
@@ -119,7 +84,7 @@ TEST(Replica, RestartAnswersACommittedPayloadFromTheRecoveredStore) {
   EXPECT_TRUE(payload_replayed);
 
   client::DlClient cli(cluster.loop(), "127.0.0.1",
-                       cluster[kEntry].ingress()->listen_port());
+                       cluster[kEntry].gateway()->listen_port());
   net::TxStatus ack{};
   std::uint64_t replay_epoch = 0;
   cli.set_ack_callback([&](std::uint64_t, net::TxStatus st) { ack = st; });
@@ -134,7 +99,7 @@ TEST(Replica, RestartAnswersACommittedPayloadFromTheRecoveredStore) {
       cluster.run_until([&] { return cli.stats().committed >= 1; }, 10.0));
   EXPECT_EQ(ack, net::TxStatus::Committed);
   EXPECT_EQ(replay_epoch, commit_epoch);
-  EXPECT_EQ(cluster[kEntry].ingress()->aggregate_mempool_stats().admitted, 0u);
+  EXPECT_EQ(cluster[kEntry].gateway()->mempool().stats().admitted, 0u);
 }
 
 // dlnoded's ledger line prints the digest the node computed for its
@@ -174,14 +139,12 @@ TEST(Replica, DeliveredDigestIsTheHashOfTheEncodedBlock) {
   }));
 }
 
-// Offloaded coding with blocks at the size limit: dispersals are encoded
-// and retrievals decoded on pool threads, which own their inputs (the
-// shared block bytes, the DecodeJob's chunk copies) while the home loop
-// keeps handling messages and recycling buffers. CI runs it under ASan and
-// TSan.
-TEST(Replica, WorkersCodeMaxSizeBlocks) {
+// Blocks at the size limit, encoded and decoded on the home loop between
+// the socket reads that recycle the reader and block buffers: every
+// replica delivers every transaction in the same order. CI runs it under
+// ASan.
+TEST(Replica, HomeLoopCodesMaxSizeBlocks) {
   app::ReplicaOptions opt;
-  opt.workers = 2;
   opt.node.propose_delay = 0.020;
   opt.node.max_block_bytes = 262'144;
   opt.node.propose_size = opt.node.max_block_bytes;
@@ -239,36 +202,51 @@ std::string read_comm(const std::filesystem::path& file) {
   return name;
 }
 
-// Every spawned thread is named by role, so per-thread CPU in
-// /proc/<pid>/task/*/stat says which role is busy; the home loop keeps the
-// process name, so pgrep and pkill by name still work.
-TEST(Replica, ThreadsAreNamedByRole) {
-  app::ReplicaOptions opt;
-  opt.loops = 2;
-  opt.workers = 2;
-  app::LoopbackCluster cluster(4, opt);
-  cluster.start();
-
-  // Every other thread (the test's own, a sanitizer runtime's) keeps the
-  // process name.
+// The process's threads other than the ones that keep its name (the test's
+// own, a sanitizer runtime's), by name; and the count of all of them.
+std::map<std::string, int> renamed_threads(int* total) {
   const std::string process = read_comm("/proc/self/comm");
-  std::map<std::string, int> roles;
+  std::map<std::string, int> names;
+  *total = 0;
   for (const auto& task :
        std::filesystem::directory_iterator("/proc/self/task")) {
+    ++*total;
     const std::string name = read_comm(task.path() / "comm");
-    if (name != process) ++roles[name];
+    if (name != process) ++names[name];
   }
-  const std::map<std::string, int> want = {
-      {"worker0", 4}, {"worker1", 4}, {"shard0", 4}, {"shard1", 4},
-  };
-  EXPECT_EQ(roles, want);
+  return names;
+}
 
+// A replica is one thread. With every part built (store, metrics, admin
+// server, flight recorder, client gateway) and started, the process has no
+// thread it did not have before, and a client transaction commits.
+TEST(Replica, RunsOnOneThread) {
+  std::vector<TempDir> dirs(4);
+  int before = 0;
+  EXPECT_TRUE(renamed_threads(&before).empty());
+  app::LoopbackCluster cluster(app::loopback_config(4), [&dirs](int i) {
+    app::ReplicaOptions o = durable(dirs[static_cast<std::size_t>(i)].path);
+    o.metrics = true;
+    o.admin_port = 0;
+    return o;
+  });
+  cluster.start();
+  int threads = 0;
+  EXPECT_TRUE(renamed_threads(&threads).empty());
+  EXPECT_EQ(threads, before);
+
+  client::DlClient cli(cluster.loop(), "127.0.0.1",
+                       cluster[2].gateway()->listen_port());
+  cli.start();
+  int most = before;
+  cluster.loop().after(0.0, [&] { cli.submit(random_bytes(64, 0x0e)); });
   ASSERT_TRUE(cluster.run_until([&] {
-    for (int i = 0; i < cluster.size(); ++i) {
-      if (cluster[i].node().stats().delivered_epochs == 0) return false;
-    }
-    return true;
+    EXPECT_TRUE(renamed_threads(&threads).empty());
+    most = std::max(most, threads);
+    return cli.stats().committed >= 1;
   }));
+  EXPECT_EQ(most, before);
+  EXPECT_EQ(cluster[2].gateway()->stats().commits_notified, 1u);
 }
 
 }  // namespace

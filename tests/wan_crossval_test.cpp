@@ -201,7 +201,7 @@ Windows run_real_cluster() {
   app::LoopbackCluster cluster(cfg, [](int i) {
     app::ReplicaOptions o;
     o.node = crossval_node(i);
-    o.loops = 0;
+    o.client_plane = false;
     return o;
   });
   net::EventLoop& loop = cluster.loop();
