@@ -496,9 +496,9 @@ int main(int argc, char** argv) {
                    "dlnoded[%d]: ingress: submits=%" PRIu64
                    " admitted=%" PRIu64 " committed=%" PRIu64
                    " dup=%" PRIu64 " full=%" PRIu64 " notified=%" PRIu64 "\n",
-                   id, gs.submits.load(), ms.admitted.load(), ms.committed.load(),
-                   ms.dropped_duplicate.load(), ms.dropped_full.load(),
-                   gs.commits_notified.load());
+                   id, gs.submits, ms.admitted, ms.committed,
+                   ms.dropped_duplicate, ms.dropped_full,
+                   gs.commits_notified);
     }
     // High-water resident set over the whole run (Linux reports kB);
     // scripts/run_local_cluster.sh bounds it in loadgen mode. Minor faults

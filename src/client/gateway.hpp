@@ -48,7 +48,6 @@
 #include "net/cluster_config.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
-#include "obs/relaxed.hpp"
 
 namespace dl::client {
 
@@ -75,16 +74,14 @@ class Gateway {
     std::size_t max_block_bytes = 2'000'000;  // watermark derivation
   };
 
-  // Relaxed-atomic cells: written on the gateway's loop, readable live from
-  // the metrics plane (see obs/relaxed.hpp for snapshot semantics).
   struct Stats {
-    obs::RelaxedU64 accepted;          // sockets past ClientHello
-    obs::RelaxedU64 active;            // currently connected clients
-    obs::RelaxedU64 submits;           // SubmitTx frames received
-    obs::RelaxedU64 commits_notified;  // TxCommitted frames queued
-    obs::RelaxedU64 commits_clientless;  // owner gone, notify dropped
-    obs::RelaxedU64 disconnects_slow;    // write-queue cap exceeded
-    obs::RelaxedU64 disconnects_bad;     // malformed/oversized frames
+    std::uint64_t accepted = 0;            // sockets past ClientHello
+    std::uint64_t active = 0;              // currently connected clients
+    std::uint64_t submits = 0;             // SubmitTx frames received
+    std::uint64_t commits_notified = 0;    // TxCommitted frames queued
+    std::uint64_t commits_clientless = 0;  // owner gone, notify dropped
+    std::uint64_t disconnects_slow = 0;    // write-queue cap exceeded
+    std::uint64_t disconnects_bad = 0;     // malformed/oversized frames
   };
 
   // Binds the listen socket immediately (port may be 0: read the actual

@@ -76,7 +76,6 @@ AdmitResult Mempool::admit(Bytes payload, double now,
   ++tracked_keys_[e.key];
   tracked_.emplace(h, std::move(e));
   ++pending_txs_;
-  ++tracked_txs_;
   return AdmitResult::Admitted;
 }
 
@@ -109,7 +108,6 @@ void Mempool::untrack(std::unordered_map<Hash, Entry, HashHasher>::iterator it) 
   auto k = tracked_keys_.find(it->second.key);
   if (--k->second == 0) tracked_keys_.erase(k);
   tracked_.erase(it);
-  --tracked_txs_;
 }
 
 std::optional<CommitRecord> Mempool::match_commit(ByteView payload,

@@ -41,10 +41,8 @@
 // per commit. The slots are reserved up front but take memory only as
 // commits fill them; the index doubles as the ring fills.
 //
-// Single-threaded like everything else on the node's EventLoop; no locks.
-// The stats and depth counters are relaxed atomics (obs::RelaxedU64) so the
-// admin/metrics plane can read them live from another thread; all mutation
-// still happens on the owning loop.
+// Affine to the replica's home loop like everything else a replica owns:
+// no locks, and the stats and depth counters are plain integers.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +53,6 @@
 
 #include "common/bytes.hpp"
 #include "crypto/sha256.hpp"
-#include "obs/relaxed.hpp"
 
 namespace dl::client {
 
@@ -77,18 +74,16 @@ struct MempoolOptions {
   std::size_t committed_ring = 1u << 16;
 };
 
-// Relaxed-atomic cells: written on the owning loop, readable live from the
-// metrics plane (a copied struct is a per-field snapshot — see relaxed.hpp).
 struct MempoolStats {
-  obs::RelaxedU64 admitted;
-  obs::RelaxedU64 admitted_bytes;
-  obs::RelaxedU64 dropped_duplicate;
-  obs::RelaxedU64 dropped_full;
-  obs::RelaxedU64 dropped_full_bytes;
-  obs::RelaxedU64 dropped_oversize;
-  obs::RelaxedU64 committed;  // matched to a delivered block
-  obs::RelaxedU64 committed_replays;
-  obs::RelaxedU64 seeded;  // ring entries restored from the ledger store
+  std::uint64_t admitted = 0;
+  std::uint64_t admitted_bytes = 0;
+  std::uint64_t dropped_duplicate = 0;
+  std::uint64_t dropped_full = 0;
+  std::uint64_t dropped_full_bytes = 0;
+  std::uint64_t dropped_oversize = 0;
+  std::uint64_t committed = 0;  // matched to a delivered block
+  std::uint64_t committed_replays = 0;
+  std::uint64_t seeded = 0;  // ring entries restored from the ledger store
 };
 
 // Everything the gateway needs to notify the submitting client of a
@@ -142,11 +137,9 @@ class Mempool {
   void seed_committed(const Hash& h, std::uint64_t epoch,
                       std::uint32_t proposer);
 
-  // Depth gauges mirror fifo_/tracked_ through relaxed atomics so they are
-  // readable from any thread while the gateway keeps running.
-  std::size_t pending_txs() const { return pending_txs_.load(); }
-  std::size_t pending_bytes() const { return pending_bytes_.load(); }
-  std::size_t tracked_txs() const { return tracked_txs_.load(); }
+  std::size_t pending_txs() const { return pending_txs_; }
+  std::size_t pending_bytes() const { return pending_bytes_; }
+  std::size_t tracked_txs() const { return tracked_.size(); }
   const MempoolStats& stats() const { return stats_; }
   const MempoolOptions& options() const { return opt_; }
 
@@ -190,9 +183,8 @@ class Mempool {
   std::unordered_map<Hash, Entry, HashHasher> tracked_;
   // Fast key -> number of tracked payloads with that key.
   std::unordered_map<std::uint64_t, std::uint32_t> tracked_keys_;
-  obs::RelaxedU64 pending_txs_;   // live (non-stale) fifo_ slots
-  obs::RelaxedU64 pending_bytes_;
-  obs::RelaxedU64 tracked_txs_;   // == tracked_.size()
+  std::size_t pending_txs_ = 0;  // live (non-stale) fifo_ slots
+  std::size_t pending_bytes_ = 0;
   // Bounded ring of recently committed hashes + their commit records, in
   // commit order; once full, committed_next_ is the oldest (next evicted).
   std::vector<CommittedSlot> committed_;

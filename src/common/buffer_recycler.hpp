@@ -14,9 +14,9 @@
 // epoch's chunk traffic on a saturated loopback cluster; the oldest kept
 // buffer is freed first.
 //
-// Thread-safe: a buffer is recycled where its last owner lets go (on a
-// replica, its home loop after a write or a decode) and taken on any
-// thread.
+// Thread-safe. On a replica only its home loop recycles and takes buffers,
+// but SweepRunner's worker threads run simulated replicas side by side and
+// share the recycler through the coding code.
 #pragma once
 
 #include <cstddef>

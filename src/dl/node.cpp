@@ -107,7 +107,7 @@ void DlNode::submit(Bytes payload) {
   tx.submit_time = env_.now();
   tx.origin = static_cast<std::uint32_t>(cfg_.self);
   tx.payload = std::move(payload);
-  input_queue_bytes_.fetch_add(tx.wire_size(), std::memory_order_relaxed);
+  input_queue_bytes_ += tx.wire_size();
   input_queue_.push_back(std::move(tx));
   maybe_propose();
 }
@@ -213,8 +213,7 @@ void DlNode::maybe_propose() {
   if (!can_start_next_epoch()) return;
   const double now = env_.now();
   const bool size_ready =
-      cfg_.backlog_tx_bytes > 0 ||
-      input_queue_bytes_.load(std::memory_order_relaxed) >= cfg_.propose_size;
+      cfg_.backlog_tx_bytes > 0 || input_queue_bytes_ >= cfg_.propose_size;
   const bool time_ready = now - last_propose_time_ >= cfg_.propose_delay;
   if (size_ready || time_ready) {
     propose_now();
@@ -276,8 +275,7 @@ Block DlNode::build_block() {
   while (!input_queue_.empty() &&
          used + input_queue_.front().wire_size() <= cfg_.max_block_bytes) {
     used += input_queue_.front().wire_size();
-    input_queue_bytes_.fetch_sub(input_queue_.front().wire_size(),
-                                 std::memory_order_relaxed);
+    input_queue_bytes_ -= input_queue_.front().wire_size();
     b.txs.push_back(std::move(input_queue_.front()));
     input_queue_.pop_front();
   }
@@ -559,7 +557,7 @@ void DlNode::after_ba_activity(std::uint64_t e) {
       // Plain HoneyBadger: the dropped block will never be delivered, so
       // its transactions go back to the head of the queue.
       for (auto it = own->second.txs.rbegin(); it != own->second.txs.rend(); ++it) {
-        input_queue_bytes_.fetch_add(it->wire_size(), std::memory_order_relaxed);
+        input_queue_bytes_ += it->wire_size();
         stats_.reproposed_tx++;
         input_queue_.push_front(std::move(*it));
       }
@@ -696,7 +694,7 @@ void DlNode::deliver_content(std::uint64_t at_epoch, BlockKey key,
   if (bad) ++stats_.bad_uploader_blocks;
   stats_.delivered_payload_bytes += block.payload_bytes();
   stats_.delivered_tx_count += block.txs.size();
-  stats_.input_queue_bytes = input_queue_bytes_.load(std::memory_order_relaxed);
+  stats_.input_queue_bytes = input_queue_bytes_;
 
   // Chain a fingerprint so tests can compare delivery order across nodes.
   Writer w;

@@ -18,7 +18,6 @@
 // the coupling DispersedLedger removes.
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <functional>
 #include <map>
@@ -143,8 +142,7 @@ class DlNode : public runtime::Receiver {
   // One node per Env. The caller injects the node into its backend at start
   // time (SimEnv::attach / TcpEnv::start); the protocol logic below cannot
   // tell the backends apart. Every method of this class — including the
-  // Receiver callbacks and submit() — is home-loop-affine; cross-thread
-  // producers go through Env::defer or EventLoop::post.
+  // Receiver callbacks and submit() — is home-loop-affine.
   DlNode(NodeConfig cfg, runtime::Env& env);
 
   // --- client interface -------------------------------------------------
@@ -170,11 +168,8 @@ class DlNode : public runtime::Receiver {
   void set_flight_recorder(obs::FlightRecorder* fr) { flight_ = fr; }
   // Live backlog of submitted-but-not-yet-proposed transactions (wire
   // bytes). The client gateway uses this as its pump watermark so the
-  // mempool, not this unbounded queue, absorbs ingress bursts. A relaxed
-  // atomic, so the metrics plane may read it from any thread.
-  std::size_t input_queue_bytes() const {
-    return input_queue_bytes_.load(std::memory_order_relaxed);
-  }
+  // mempool, not this unbounded queue, absorbs ingress bursts.
+  std::size_t input_queue_bytes() const { return input_queue_bytes_; }
   // Stage checkpoints of the own-block proposed in epoch `e`; nullptr once
   // pruned (after delivery) or if nothing was proposed there. Valid during
   // the delivery callback for the block being delivered. Home-loop only.
@@ -273,10 +268,9 @@ class DlNode : public runtime::Receiver {
   PrefixSet retired_;  // epochs freed by maybe_retire()
   RetrievalManager retrievals_;
 
-  // Input queue. The byte gauge is atomic only so that it may be read from
-  // any thread; all mutation happens on the home loop.
+  // Input queue and its wire-byte total.
   std::deque<Transaction> input_queue_;
-  std::atomic<std::size_t> input_queue_bytes_{0};
+  std::size_t input_queue_bytes_ = 0;
 
   // Dispersal pipeline state.
   std::uint64_t propose_epoch_ = 0;  // next epoch to propose into

@@ -1,7 +1,6 @@
 #include "net/event_loop.hpp"
 
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/timerfd.h>
 #include <time.h>
 #include <unistd.h>
@@ -45,33 +44,18 @@ EventLoop::EventLoop() {
     close(ep_);
     throw std::runtime_error("EventLoop: timerfd_create failed");
   }
-  wake_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_fd_ < 0) {
-    close(tfd_);
-    close(ep_);
-    throw std::runtime_error("EventLoop: eventfd failed");
-  }
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.u64 = pack_fd(tfd_, 0);
   if (epoll_ctl(ep_, EPOLL_CTL_ADD, tfd_, &ev) != 0) {
-    close(wake_fd_);
     close(tfd_);
     close(ep_);
     throw std::runtime_error("EventLoop: cannot register timerfd");
-  }
-  ev.data.u64 = pack_fd(wake_fd_, 0);
-  if (epoll_ctl(ep_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
-    close(wake_fd_);
-    close(tfd_);
-    close(ep_);
-    throw std::runtime_error("EventLoop: cannot register eventfd");
   }
   t0_ = process_epoch();
 }
 
 EventLoop::~EventLoop() {
-  if (wake_fd_ >= 0) close(wake_fd_);
   if (tfd_ >= 0) close(tfd_);
   if (ep_ >= 0) close(ep_);
 }
@@ -94,23 +78,6 @@ bool EventLoop::cancel_timer(std::uint64_t id) {
   // The heap entry stays behind as a tombstone; run_due_timers skips it.
   return timers_.erase(id) > 0;
 }
-
-void EventLoop::wake() {
-  const std::uint64_t one = 1;
-  // Best effort: EAGAIN means the counter is already nonzero (wakeup
-  // pending), which is all we need.
-  [[maybe_unused]] ssize_t n = write(wake_fd_, &one, sizeof one);
-  stats_.wakes.fetch_add(1, std::memory_order_relaxed);
-}
-
-void EventLoop::stop() {
-  stop_.store(true, std::memory_order_release);
-  // Unconditional kick: stop() must never be collapsed into a pending wake
-  // that the loop might consume before observing stop_.
-  wake();
-}
-
-bool EventLoop::posted_empty() const { return !mailbox_.maybe_nonempty(); }
 
 void EventLoop::add_fd(int fd, std::uint32_t events, FdHandler h) {
   const std::uint32_t gen = next_fd_gen_++;
@@ -148,7 +115,7 @@ void EventLoop::run_due_timers() {
     if (it == timers_.end()) continue;  // cancelled tombstone
     auto fn = std::move(it->second);
     timers_.erase(it);
-    stats_.timers.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.timers;
     if (task_hist_ != nullptr) {
       const double start = monotonic_seconds();
       fn();
@@ -179,59 +146,47 @@ void EventLoop::arm_timerfd() {
 }
 
 void EventLoop::drain_posted() {
-  // Clear the wake-collapse flag BEFORE draining (seq_cst, pairing with the
-  // Dekker protocol in post()): any producer whose post preceded this
-  // exchange is now visible to the drain below; any later producer sees
-  // `false` and kicks the eventfd itself. consume() runs one generation per
-  // iteration (bounded by a tail snapshot), so tasks posted by these tasks
-  // run on the next spin and a self-posting task cannot starve the loop.
-  wake_pending_.exchange(false, std::memory_order_seq_cst);
+  if (posted_.empty()) return;
+  // One generation per pass: tasks these tasks post land in posted_ and
+  // run on the next pass.
+  running_.swap(posted_);
   const bool timed = task_hist_ != nullptr;
   const double start = timed ? monotonic_seconds() : 0.0;
-  const std::size_t ran = mailbox_.consume();
-  if (ran > 0) {
-    stats_.drains.fetch_add(1, std::memory_order_relaxed);
-    stats_.tasks.fetch_add(ran, std::memory_order_relaxed);
-    stats_.last_drain_tasks.store(ran, std::memory_order_relaxed);
-    if (timed) {
-      task_hist_->observe(
-          static_cast<std::uint64_t>((monotonic_seconds() - start) * 1e6));
-    }
+  for (sim::InlineTask& task : running_) task();
+  const std::size_t ran = running_.size();
+  running_.clear();
+  ++stats_.drains;
+  stats_.tasks += ran;
+  stats_.last_drain_tasks = ran;
+  if (timed) {
+    task_hist_->observe(
+        static_cast<std::uint64_t>((monotonic_seconds() - start) * 1e6));
   }
 }
 
 void EventLoop::run() {
-  // stop_ is deliberately NOT reset here: a stop() issued after spawning
-  // the loop thread but before run() reaches this line must not be lost —
-  // it makes this run() return immediately instead. The pending request is
-  // consumed on exit (below) so the loop can be run() again.
-  loop_thread_.store(std::this_thread::get_id(), std::memory_order_release);
+  // stop_ is deliberately NOT reset here: a stop() issued before run() must
+  // make this run() return immediately instead of being lost. The pending
+  // request is consumed on exit (below) so the loop can be run() again.
   epoll_event evs[64];
-  while (!stopped()) {
+  while (!stop_) {
     drain_posted();
-    if (stopped()) break;
+    if (stop_) break;
     run_due_timers();
-    if (stopped()) break;
+    if (stop_) break;
     arm_timerfd();
-    // Posted work wants an immediate pass; otherwise sleep until an fd, the
-    // timerfd, or the cross-thread eventfd fires.
-    const int timeout = posted_empty() ? -1 : 0;
+    // Posted work wants an immediate pass; otherwise sleep until an fd or
+    // the timerfd fires.
+    const int timeout = posted_.empty() ? -1 : 0;
     const int nev = epoll_wait(ep_, evs, 64, timeout);
-    stats_.polls.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.polls;
     if (nev < 0) {
       if (errno == EINTR) continue;
-      loop_thread_.store(std::thread::id(), std::memory_order_release);
       throw std::runtime_error("EventLoop: epoll_wait failed");
     }
-    for (int i = 0; i < nev && !stopped(); ++i) {
+    for (int i = 0; i < nev && !stop_; ++i) {
       const int fd = static_cast<int>(evs[i].data.u64 & 0xFFFFFFFFu);
       const auto gen = static_cast<std::uint32_t>(evs[i].data.u64 >> 32);
-      if (fd == wake_fd_) {
-        std::uint64_t count = 0;
-        while (read(wake_fd_, &count, sizeof count) > 0) {
-        }
-        continue;  // mailbox drains at the top of the loop
-      }
       if (fd == tfd_) {
         std::uint64_t expirations = 0;
         while (read(tfd_, &expirations, sizeof expirations) > 0) {
@@ -257,8 +212,7 @@ void EventLoop::run() {
     }
   }
   // Consume the stop request: the loop is re-runnable once run() returns.
-  stop_.store(false, std::memory_order_release);
-  loop_thread_.store(std::thread::id(), std::memory_order_release);
+  stop_ = false;
 }
 
 }  // namespace dl::net

@@ -149,7 +149,7 @@ LinkShaper::LinkShaper(const Config& cfg, double now)
   last_refill_ = now;
 }
 
-void LinkShaper::refill_locked(double now) {
+void LinkShaper::refill(double now) {
   if (now <= last_refill_) return;
   if (cfg_.schedule.unlimited()) {
     last_refill_ = now;
@@ -171,8 +171,7 @@ void LinkShaper::refill_locked(double now) {
 
 std::size_t LinkShaper::take(double now, std::size_t want) {
   if (want == 0) return 0;
-  std::lock_guard<std::mutex> lk(mu_);
-  refill_locked(now);
+  refill(now);
   if (cfg_.schedule.unlimited()) {
     stats_.shaped_bytes += want;
     return want;
@@ -190,8 +189,7 @@ std::size_t LinkShaper::take(double now, std::size_t want) {
 }
 
 double LinkShaper::next_release(double now, std::size_t want) {
-  std::lock_guard<std::mutex> lk(mu_);
-  refill_locked(now);
+  refill(now);
   if (cfg_.schedule.unlimited()) return now;
   double deficit = static_cast<double>(std::min(want, quantum_)) - tokens_;
   if (deficit <= 0) return now;
@@ -214,22 +212,15 @@ double LinkShaper::arrival(double paid_at, double after) {
 
 double LinkShaper::delay_draw() {
   if (cfg_.jitter <= 0) return cfg_.delay;
-  std::lock_guard<std::mutex> lk(mu_);
   return cfg_.delay + cfg_.jitter * rng_.next_double();
 }
 
 bool LinkShaper::lose_frame(std::size_t frame_bytes) {
   if (cfg_.loss <= 0) return false;
-  std::lock_guard<std::mutex> lk(mu_);
   if (rng_.next_double() >= cfg_.loss) return false;
   ++stats_.lost_frames;
   stats_.lost_bytes += frame_bytes;
   return true;
-}
-
-LinkShaper::Stats LinkShaper::stats() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return stats_;
 }
 
 }  // namespace dl::net

@@ -9,19 +9,16 @@
 // out classic schedule-driven link emulation (cf. the NS-2 tutorial
 // exemplar: queue, then transmission, then propagation).
 //
-// Threading: all methods are safe to call from any thread. One shaper
-// instance is typically *shared* across every peer of a TcpEnv (modelling
-// the node's aggregate egress pipe, like FluidLink's per-node egress). The
-// TcpEnv drives it from its home loop; stats() may be read from any other
-// thread. The critical sections are a handful of arithmetic ops; the
-// unshipped path (no [[link]] config) is a null-pointer check in TcpEnv and
-// never reaches this file.
+// One shaper instance is typically *shared* across every peer of a TcpEnv
+// (modelling the node's aggregate egress pipe, like FluidLink's per-node
+// egress). Like the TcpEnv that drives it, a shaper is home-loop-affine.
+// The unshaped path (no [[link]] config) is a null-pointer check in TcpEnv
+// and never reaches this file.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -72,9 +69,8 @@ std::optional<RateSchedule> load_rate_trace(const std::string& path,
 //   if (got == 0) wake at shaper->next_release(now, owed);
 //   once the frame is paid in full:
 //     release = shaper->arrival(now, prev_release);   // hand to the kernel then
-// take() reserves rather than peeks so that peers on different event loops
-// sharing one bucket cannot both spend the same tokens. A frame larger than
-// the bucket is paid in several take() instalments.
+// take() reserves the tokens it grants. A frame larger than the bucket is
+// paid in several take() instalments.
 class LinkShaper {
  public:
   struct Config {
@@ -126,23 +122,22 @@ class LinkShaper {
   std::size_t quantum() const { return quantum_; }
   std::size_t burst() const { return burst_; }
 
-  Stats stats() const;
+  Stats stats() const { return stats_; }
 
   static constexpr std::size_t kDefaultQuantum = 1024;
 
  private:
-  void refill_locked(double now);
+  void refill(double now);
 
   const Config cfg_;
   std::size_t burst_ = 0;
   std::size_t quantum_ = kDefaultQuantum;
   double origin_ = 0.0;  // schedule time zero (construction time)
 
-  mutable std::mutex mu_;
-  double tokens_ = 0.0;       // guarded by mu_
-  double last_refill_ = 0.0;  // guarded by mu_ (absolute time)
-  Rng rng_;                   // guarded by mu_
-  Stats stats_;               // guarded by mu_
+  double tokens_ = 0.0;
+  double last_refill_ = 0.0;  // absolute time
+  Rng rng_;
+  Stats stats_;
 };
 
 }  // namespace dl::net

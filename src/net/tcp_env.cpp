@@ -28,8 +28,11 @@ constexpr std::size_t kMaxPreAuthBytes = 4096;
 // iovecs (prefix slab + body reference).
 constexpr std::size_t kMaxIov = 64;
 
-constexpr auto relaxed = std::memory_order_relaxed;
 constexpr double kNever = std::numeric_limits<double>::infinity();
+
+// High's weight against Low on a shaped link: the paper's T, and
+// sim::NetworkConfig::weight_high's default.
+constexpr std::size_t kHighWeight = 30;
 
 }  // namespace
 
@@ -260,7 +263,7 @@ void TcpEnv::cancel_send(std::uint64_t tag) {
   for (Peer& p : peers_) {
     for (auto it = p.low.begin(); it != p.low.end();) {
       if (it->second.tag == tag) {
-        p.stats.queued_bytes.fetch_sub(it->second.size(), relaxed);
+        p.stats.queued_bytes -= it->second.size();
         it = p.low.erase(it);
       } else {
         ++it;
@@ -287,34 +290,34 @@ void TcpEnv::enqueue(Peer& p, OutFrame frame, const runtime::SendOpts& opts) {
   if (opt_.adversary == WireAdversary::Mute) {
     // Mute-but-connected: the connection and Hello stay perfectly healthy
     // (the Hello never passes through enqueue), every Data frame dies here.
-    p.stats.shaped_drops.fetch_add(1, relaxed);
-    p.stats.shaped_drop_bytes.fetch_add(size, relaxed);
+    ++p.stats.shaped_drops;
+    p.stats.shaped_drop_bytes += size;
     return;
   }
   if (p.shaper && p.shaper->lose_frame(size)) {
-    p.stats.shaped_drops.fetch_add(1, relaxed);
-    p.stats.shaped_drop_bytes.fetch_add(size, relaxed);
+    ++p.stats.shaped_drops;
+    p.stats.shaped_drop_bytes += size;
     return;
   }
   if (size > opt_.max_frame_bytes + kFrameHeaderBytes) {
     // Never emit a frame every receiver is obliged to reject — that would
     // tear the connection down on each retry and livelock the pair.
-    p.stats.dropped_frames.fetch_add(1, relaxed);
-    p.stats.dropped_bytes.fetch_add(size, relaxed);
+    ++p.stats.dropped_frames;
+    p.stats.dropped_bytes += size;
     return;
   }
-  if (p.stats.queued_bytes.load(relaxed) + size > opt_.max_queue_bytes) {
+  if (p.stats.queued_bytes + size > opt_.max_queue_bytes) {
     // Backpressure: the peer is slow or gone and its queue is full. Drop and
     // account — the protocol layers tolerate message loss.
-    p.stats.dropped_frames.fetch_add(1, relaxed);
-    p.stats.dropped_bytes.fetch_add(size, relaxed);
+    ++p.stats.dropped_frames;
+    p.stats.dropped_bytes += size;
     return;
   }
-  p.stats.queued_bytes.fetch_add(size, relaxed);
+  p.stats.queued_bytes += size;
   if (opts.cls == runtime::TrafficClass::High) {
     p.high.push_back(std::move(frame));
   } else {
-    p.low.emplace(std::make_pair(opts.order, next_low_seq_.fetch_add(1, relaxed)),
+    p.low.emplace(std::make_pair(opts.order, next_low_seq_++),
                   std::move(frame));
   }
 }
@@ -357,20 +360,33 @@ void TcpEnv::add_iov(const OutFrame& f, std::size_t off, iovec* iov,
   }
 }
 
+bool TcpEnv::low_next(const Peer& p) {
+  if (p.low.empty()) return false;
+  if (p.high.empty()) return true;
+  // A shaped link is shared between the classes as FluidLink shares it:
+  // while both wait, Low gets one byte in kHighWeight + 1, so a
+  // bandwidth-starved replica still retrieves. Unshaped peers keep strict
+  // High-first order.
+  return p.shaper != nullptr &&
+         p.high_run >= kHighWeight * p.low.begin()->second.size();
+}
+
 TcpEnv::OutFrame* TcpEnv::queued_head(Peer& p) {
+  if (low_next(p)) return &p.low.begin()->second;
   if (!p.high.empty()) return &p.high.front();
-  if (!p.low.empty()) return &p.low.begin()->second;
   return nullptr;
 }
 
 TcpEnv::OutFrame TcpEnv::pop_queued(Peer& p) {
   OutFrame f;
-  if (!p.high.empty()) {
-    f = std::move(p.high.front());
-    p.high.pop_front();
-  } else {
+  if (low_next(p)) {
     f = std::move(p.low.begin()->second);
     p.low.erase(p.low.begin());
+    p.high_run = 0;
+  } else {
+    f = std::move(p.high.front());
+    p.high.pop_front();
+    p.high_run = p.low.empty() ? 0 : p.high_run + f.size();
   }
   return f;
 }
@@ -399,7 +415,7 @@ double TcpEnv::serialize(Peer& p, double now) {
     const std::size_t owed = f->size() - p.paid;
     const std::size_t got = p.shaper->take(now, owed);
     if (got == 0) {
-      p.stats.shaper_waits.fetch_add(1, relaxed);
+      ++p.stats.shaper_waits;
       return p.shaper->next_release(now, owed);
     }
     if (!p.has_paying) {
@@ -487,9 +503,9 @@ void TcpEnv::consume_written(Peer& p, std::size_t n, double now) {
     const std::size_t remaining = frame_size - p.inflight_off;
     if (n >= remaining) {
       n -= remaining;
-      p.stats.sent_frames.fetch_add(1, relaxed);
-      p.stats.sent_bytes.fetch_add(frame_size, relaxed);
-      p.stats.queued_bytes.fetch_sub(frame_size, relaxed);
+      ++p.stats.sent_frames;
+      p.stats.sent_bytes += frame_size;
+      p.stats.queued_bytes -= frame_size;
       p.has_inflight = false;
       p.inflight = OutFrame{};
     } else {
@@ -511,8 +527,8 @@ bool TcpEnv::drain_frames(Peer& p) {
       ok = false;
       break;
     }
-    p.stats.recv_frames.fetch_add(1, relaxed);
-    p.stats.recv_bytes.fetch_add(fr.size(), relaxed);
+    ++p.stats.recv_frames;
+    p.stats.recv_bytes += fr.size();
     // The view into the reader's pooled buffer stays valid for the duration
     // of the callback (nothing feeds the reader until it returns).
     if (receiver_ != nullptr) receiver_->on_receive(p.id, wf.data);
@@ -593,7 +609,7 @@ void TcpEnv::disconnect(Peer& p, const char* /*why*/) {
     loop_.cancel_timer(p.shape_timer);
     p.shape_timer = 0;
   }
-  p.stats.connected.store(false, relaxed);
+  p.stats.connected = false;
   // The reader is NOT reset here: disconnect() can fire from inside this
   // peer's own drain_frames (a receiver callback sends, the send hits a
   // write error) while a frame view into the reader's buffer is still live.
@@ -601,14 +617,14 @@ void TcpEnv::disconnect(Peer& p, const char* /*why*/) {
   if (p.has_inflight) {
     // A partially-written frame cannot resume on a fresh connection.
     const std::size_t size = p.inflight.size();
-    p.stats.queued_bytes.fetch_sub(size, relaxed);
-    p.stats.dropped_frames.fetch_add(1, relaxed);
-    p.stats.dropped_bytes.fetch_add(size, relaxed);
+    p.stats.queued_bytes -= size;
+    ++p.stats.dropped_frames;
+    p.stats.dropped_bytes += size;
     p.has_inflight = false;
     p.inflight = OutFrame{};
   }
   if (p.dialer) {
-    p.stats.reconnects.fetch_add(1, relaxed);
+    ++p.stats.reconnects;
     schedule_dial(p);
   }
   // Acceptor side: wait for the dialer to come back.
@@ -658,7 +674,7 @@ void TcpEnv::dial(Peer& p) {
 void TcpEnv::on_dial_connected(Peer& p) {
   p.connecting = false;
   p.established_at = loop_.now();
-  p.stats.connected.store(true, relaxed);
+  p.stats.connected = true;
   // The handshake frame goes out before anything queued while disconnected,
   // and outside any link shaping: it is the head of the new byte stream.
   // (disconnect() dropped any partially written frame.)
@@ -668,7 +684,7 @@ void TcpEnv::on_dial_connected(Peer& p) {
   std::memcpy(p.inflight.header.data(), hello.data(), hello.size());
   p.inflight_off = 0;
   p.has_inflight = true;
-  p.stats.queued_bytes.fetch_add(p.inflight.size(), relaxed);
+  p.stats.queued_bytes += p.inflight.size();
   flush_writes(p);
 }
 
@@ -774,7 +790,7 @@ void TcpEnv::adopt_accepted(int fd, int peer_id, FrameReader&& reader) {
   p.fd = fd;
   p.connecting = false;
   p.want_write = false;
-  p.stats.connected.store(true, relaxed);
+  p.stats.connected = true;
   p.reader = std::move(reader);
   loop_.add_fd(fd, EPOLLIN, [this, peer_id](std::uint32_t ev) {
     handle_peer_event(peer_id, ev);
@@ -786,28 +802,10 @@ void TcpEnv::adopt_accepted(int fd, int peer_id, FrameReader&& reader) {
 
 // --- introspection -----------------------------------------------------------
 
-TcpEnv::PeerStats TcpEnv::peer_stats(int id) const {
-  const PeerCounters& c = peer(id).stats;
-  PeerStats s;
-  s.connected = c.connected.load(relaxed);
-  s.queued_bytes = c.queued_bytes.load(relaxed);
-  s.sent_frames = c.sent_frames.load(relaxed);
-  s.sent_bytes = c.sent_bytes.load(relaxed);
-  s.recv_frames = c.recv_frames.load(relaxed);
-  s.recv_bytes = c.recv_bytes.load(relaxed);
-  s.dropped_frames = c.dropped_frames.load(relaxed);
-  s.dropped_bytes = c.dropped_bytes.load(relaxed);
-  s.reconnects = c.reconnects.load(relaxed);
-  s.shaped_drops = c.shaped_drops.load(relaxed);
-  s.shaped_drop_bytes = c.shaped_drop_bytes.load(relaxed);
-  s.shaper_waits = c.shaper_waits.load(relaxed);
-  return s;
-}
-
 int TcpEnv::connected_peers() const {
   int count = 0;
   for (const Peer& p : peers_) {
-    if (p.id != self_ && p.stats.connected.load(relaxed)) ++count;
+    if (p.id != self_ && p.stats.connected) ++count;
   }
   return count;
 }

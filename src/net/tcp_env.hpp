@@ -1,6 +1,6 @@
 // TcpEnv — the real-socket backend of runtime::Env.
 //
-// One TcpEnv per replica process (or per thread in in-process tests): it
+// One TcpEnv per replica (several share a loop in in-process tests): it
 // owns a listening socket plus one TCP connection per peer. Connection
 // topology is deterministic: node i DIALS every peer with a smaller id and
 // ACCEPTS from every peer with a larger id, so each unordered pair shares
@@ -18,14 +18,17 @@
 //
 // Every peer connection runs on the home loop: socket I/O, queues, readers,
 // redial and shaping timers all multiplex inline with the Receiver
-// callbacks, so there is no lock anywhere on the protocol path and an
-// inbound frame reaches the Receiver as a view into the reader's buffer.
+// callbacks, so an inbound frame reaches the Receiver as a view into the
+// reader's buffer. Everything a TcpEnv owns, its counters included, is
+// home-loop-affine: no lock and no atomic anywhere.
 //
 // Delivery model per peer, mirroring the simulator's FluidLink scheduling:
-// High-class frames (dispersal + agreement) drain strictly before Low-class
-// frames (retrieval), and Low frames drain in (order, enqueue-seq) order
-// with O(1)-amortized cancellation by tag — the paper's prioritization (§5)
-// and cancel-on-decode (§6.3) on a real socket.
+// High-class frames (dispersal + agreement) drain before Low-class frames
+// (retrieval), and Low frames drain in (order, enqueue-seq) order with
+// O(1)-amortized cancellation by tag — the paper's prioritization (§5) and
+// cancel-on-decode (§6.3) on a real socket. On a shaped peer, as on
+// FluidLink, the priority is a 30:1 weight rather than strict: while both
+// classes wait, Low gets one byte in 31.
 //
 // WAN emulation ([[link]]): a shaped peer's frames pass two stages before
 // the kernel sees them, as on FluidLink. Serialize: the head of the queues
@@ -46,7 +49,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <deque>
 #include <map>
 #include <memory>
@@ -101,10 +103,10 @@ class TcpEnv final : public runtime::Env {
   // Updates a peer's port before start() (port-0 discovery in tests).
   void set_peer_port(int id, std::uint16_t port);
 
-  // Injects the Receiver and schedules one home-loop task that registers the
-  // listener, begins dialing and calls the Receiver's start(). Call once
-  // (from any thread, before or while the home loop runs), then loop.run().
-  // All Receiver callbacks fire on the home-loop thread.
+  // Injects the Receiver and posts one home-loop task that registers the
+  // listener, begins dialing and calls the Receiver's start(). Call once,
+  // before or while the home loop runs. All Receiver callbacks fire on the
+  // home loop.
   void start(runtime::Receiver& r);
 
   // --- runtime::Env -------------------------------------------------------
@@ -121,7 +123,6 @@ class TcpEnv final : public runtime::Env {
   void send(int to, Envelope&& env, const runtime::SendOpts& opts) override;
   void broadcast(Envelope&& env, const runtime::SendOpts& opts) override;
   void cancel_send(std::uint64_t tag) override;
-  // Thread-safe: posts fn to the home loop.
   void defer(std::function<void()> fn) override { loop_.post(std::move(fn)); }
 
   // --- backpressure / health accounting -----------------------------------
@@ -139,15 +140,12 @@ class TcpEnv final : public runtime::Env {
     std::uint64_t shaped_drop_bytes = 0;
     std::uint64_t shaper_waits = 0;   // drain pauses waiting on the bucket
   };
-  // Both are thread-safe snapshots (relaxed counters — may trail the home
-  // loop by a few frames, never torn).
-  PeerStats peer_stats(int id) const;
+  PeerStats peer_stats(int id) const { return peer(id).stats; }
   int connected_peers() const;
 
   // Aggregate egress-shaper stats across every distinct bucket (peers
-  // sharing one [[link]] bucket are counted once). Thread-safe: the bucket
-  // set is fixed at construction and LinkShaper::stats() locks internally.
-  // All-zero when the node is unshaped.
+  // sharing one [[link]] bucket are counted once). All-zero when the node is
+  // unshaped.
   LinkShaper::Stats shaper_totals() const;
   int shaper_count() const { return static_cast<int>(shapers_.size()); }
 
@@ -169,23 +167,6 @@ class TcpEnv final : public runtime::Env {
     std::size_t size() const {
       return header_len + (body ? body->size() : 0);
     }
-  };
-
-  // Cross-thread-readable per-peer accounting. Written only by the home
-  // loop; relaxed loads elsewhere (peer_stats, connected_peers).
-  struct PeerCounters {
-    std::atomic<bool> connected{false};
-    std::atomic<std::size_t> queued_bytes{0};
-    std::atomic<std::uint64_t> sent_frames{0};
-    std::atomic<std::uint64_t> sent_bytes{0};
-    std::atomic<std::uint64_t> recv_frames{0};
-    std::atomic<std::uint64_t> recv_bytes{0};
-    std::atomic<std::uint64_t> dropped_frames{0};
-    std::atomic<std::uint64_t> dropped_bytes{0};
-    std::atomic<std::uint64_t> reconnects{0};
-    std::atomic<std::uint64_t> shaped_drops{0};
-    std::atomic<std::uint64_t> shaped_drop_bytes{0};
-    std::atomic<std::uint64_t> shaper_waits{0};
   };
 
   // All mutable fields home-loop-affine.
@@ -218,7 +199,9 @@ class TcpEnv final : public runtime::Env {
     // peers (one aggregate egress bucket, like FluidLink) when it does not.
     std::shared_ptr<LinkShaper> shaper;
     std::uint64_t shape_timer = 0;  // pending drain wake, home-loop timer
-    PeerCounters stats;
+    // High bytes serialized since the last Low frame while Low waited.
+    std::size_t high_run = 0;
+    PeerStats stats;
   };
 
   // An accepted connection whose Hello has not arrived yet.
@@ -243,6 +226,9 @@ class TcpEnv final : public runtime::Env {
   void enqueue_and_flush(Peer& p, OutFrame frame, const runtime::SendOpts& opts);
   void deliver_local(std::shared_ptr<const Bytes> env_bytes);
   void update_interest(Peer& p);
+  // Whether the next queued frame is the Low head: always when High is
+  // empty; on a shaped peer also once High has had its share (see .cpp).
+  static bool low_next(const Peer& p);
   OutFrame* queued_head(Peer& p);  // next frame by priority, or null
   OutFrame pop_queued(Peer& p);
   // Moves the next frame due at the kernel into `inflight`; false if none.
@@ -272,12 +258,12 @@ class TcpEnv final : public runtime::Env {
   int listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;
   bool started_ = false;
-  std::atomic<std::uint64_t> next_low_seq_{0};
+  std::uint64_t next_low_seq_ = 0;
   std::uint64_t next_pending_id_ = 1;
-  // deque: Peer holds atomics (immovable) and must stay address-stable.
+  // deque: peers are built in place once and never move.
   std::deque<Peer> peers_;  // indexed by id; entry self_ unused
   // Distinct shaper buckets, deduped at setup_shapers() time; immutable
-  // afterwards (read by shaper_totals() from any thread).
+  // afterwards.
   std::vector<std::shared_ptr<LinkShaper>> shapers_;
   std::map<int, PendingAccept> pending_;  // fd -> state
 };

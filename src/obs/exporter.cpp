@@ -9,10 +9,6 @@
 
 namespace dl::obs {
 
-namespace {
-constexpr std::memory_order relaxed = std::memory_order_relaxed;
-}
-
 NodeExporter::NodeExporter(Registry& reg, ExporterSources src)
     : src_(src), n_(src.node.config().n) {
   g_epoch_frontier_ = reg.gauge("dl_node_epoch_frontier",
@@ -100,17 +96,19 @@ NodeExporter::NodeExporter(Registry& reg, ExporterSources src)
 
   const std::string home = "loop=\"home\"";
   c_loop_polls_ = reg.counter("dl_loop_polls_total", "epoll_wait returns", home);
-  c_loop_wakes_ =
-      reg.counter("dl_loop_wakes_total", "cross-thread eventfd kicks", home);
+  // A loop has no cross-thread wake, so this reads 0; it stays registered
+  // for the series set that scrapers and benchmark/run.py read.
+  reg.counter("dl_loop_wakes_total", "cross-thread loop wakes (always 0)",
+              home);
   c_loop_drains_ = reg.counter("dl_loop_drains_total",
-                               "mailbox drain passes that ran tasks", home);
+                               "task-queue drain passes that ran tasks", home);
   c_loop_tasks_ =
       reg.counter("dl_loop_tasks_total", "posted tasks executed", home);
   c_loop_timers_ =
       reg.counter("dl_loop_timers_total", "timer callbacks fired", home);
   g_loop_last_drain_ = reg.gauge("dl_loop_last_drain_tasks",
                                  "tasks consumed by the most recent drain "
-                                 "(mailbox depth proxy)",
+                                 "(queue depth)",
                                  home);
 
   c_pool_fresh_ = reg.counter("dl_bufpool_fresh_allocs_total",
@@ -218,13 +216,11 @@ void NodeExporter::refresh() {
   c_shaper_throttles_->set(sh.throttle_waits);
 
   const auto& ls = src_.home_loop.stats();
-  c_loop_polls_->set(ls.polls.load(relaxed));
-  c_loop_wakes_->set(ls.wakes.load(relaxed));
-  c_loop_drains_->set(ls.drains.load(relaxed));
-  c_loop_tasks_->set(ls.tasks.load(relaxed));
-  c_loop_timers_->set(ls.timers.load(relaxed));
-  g_loop_last_drain_->set(
-      static_cast<std::int64_t>(ls.last_drain_tasks.load(relaxed)));
+  c_loop_polls_->set(ls.polls);
+  c_loop_drains_->set(ls.drains);
+  c_loop_tasks_->set(ls.tasks);
+  c_loop_timers_->set(ls.timers);
+  g_loop_last_drain_->set(static_cast<std::int64_t>(ls.last_drain_tasks));
 
   const net::BufferPool::Stats ps = net::BufferPool::stats();
   c_pool_fresh_->set(ps.fresh_allocs);
@@ -235,7 +231,7 @@ void NodeExporter::refresh() {
   if (src_.gateway != nullptr) {
     const client::Gateway::Stats& gs = src_.gateway->stats();
     c_gw_accepted_->set(gs.accepted);
-    g_gw_active_->set(static_cast<std::int64_t>(gs.active.load()));
+    g_gw_active_->set(static_cast<std::int64_t>(gs.active));
     c_gw_submits_->set(gs.submits);
     c_gw_commits_->set(gs.commits_notified);
     c_gw_clientless_->set(gs.commits_clientless);

@@ -5,16 +5,10 @@
 // hook that mirrors externally-owned stats structs (NodeStats, PeerStats,
 // shaper/pool/store/loop counters) into those instruments at snapshot time.
 //
-// Thread-safety contract: the sample hook runs on the snapshotting thread —
-// in dlnoded that is the node home loop (the admin endpoint, the
-// --stats-interval timer and the SIGUSR1 handler all live there). Sources
-// split into two groups:
-//   - thread-safe anywhere: TcpEnv peer/shaper stats, BufferPool,
-//     LedgerStore, EventLoop::stats(), Gateway and Mempool counters (all
-//     relaxed atomics or internally locked);
-//   - home-loop-affine: DlNode::stats() — safe precisely because the hook
-//     runs on the home loop.
-// Keep that split in mind before snapshotting from any other thread.
+// Threading: every source except the process-global BufferPool is affine
+// to the replica's home loop (plain counters, no locks), and so is the
+// sample hook: the admin endpoint, the --stats-interval timer and the
+// SIGUSR1 handler all run there. Snapshot the registry only from that loop.
 //
 // delta_line() doubles as the --stats-interval formatter: a one-line
 // summary of what changed since the previous call (shared with dl_loadgen's
@@ -117,7 +111,6 @@ class NodeExporter {
 
   // the home event loop (loop="home")
   Counter* c_loop_polls_ = nullptr;
-  Counter* c_loop_wakes_ = nullptr;
   Counter* c_loop_drains_ = nullptr;
   Counter* c_loop_tasks_ = nullptr;
   Counter* c_loop_timers_ = nullptr;

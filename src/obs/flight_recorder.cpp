@@ -33,7 +33,6 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
 
 void FlightRecorder::record(double t, Ev kind, std::uint64_t epoch,
                             std::uint32_t instance, std::uint64_t arg) {
-  std::lock_guard<std::mutex> lk(mu_);
   Event& e = ring_[total_ % ring_.size()];
   e.t = t;
   e.kind = kind;
@@ -44,7 +43,6 @@ void FlightRecorder::record(double t, Ev kind, std::uint64_t epoch,
 }
 
 std::vector<FlightRecorder::Event> FlightRecorder::events() const {
-  std::lock_guard<std::mutex> lk(mu_);
   const std::size_t cap = ring_.size();
   const std::size_t n = total_ < cap ? static_cast<std::size_t>(total_) : cap;
   std::vector<Event> out;
@@ -56,19 +54,8 @@ std::vector<FlightRecorder::Event> FlightRecorder::events() const {
   return out;
 }
 
-std::uint64_t FlightRecorder::total_recorded() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return total_;
-}
-
-std::uint64_t FlightRecorder::dropped() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  const std::size_t cap = ring_.size();
-  return total_ < cap ? 0 : total_ - cap;
-}
-
 void FlightRecorder::render_chrome_trace(net::ByteRope& out, int pid) const {
-  const std::vector<Event> evs = events();  // copy under lock, render outside
+  const std::vector<Event> evs = events();
   RopeWriter w(out);
   w.text("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [");
   bool first = true;

@@ -9,13 +9,13 @@
 // and the real runtime (CLOCK_MONOTONIC seconds) — the dump is
 // chrome://tracing / Perfetto JSON either way.
 //
-// record() is mutex-guarded (one lock, one array write); it is off the
-// per-byte data path — protocol milestones happen at epoch/chunk frequency,
-// not frame frequency — and safe from any thread.
+// record() is one array write, off the per-byte data path — protocol
+// milestones happen at epoch/chunk frequency, not frame frequency. A
+// recorder is affine to its replica's home loop: only that loop records
+// into it or dumps it, so it holds no lock.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -52,8 +52,11 @@ class FlightRecorder {
 
   // Oldest-first copy of the retained window.
   std::vector<Event> events() const;
-  std::uint64_t total_recorded() const;
-  std::uint64_t dropped() const;  // total_recorded - retained
+  std::uint64_t total_recorded() const { return total_; }
+  // total_recorded - retained
+  std::uint64_t dropped() const {
+    return total_ < ring_.size() ? 0 : total_ - ring_.size();
+  }
   std::size_t capacity() const { return ring_.size(); }
 
   // Chrome-trace JSON ({"traceEvents": [...]}, instant events, ts in
@@ -66,7 +69,6 @@ class FlightRecorder {
   bool dump_to_file(const std::string& path, int pid) const;
 
  private:
-  mutable std::mutex mu_;
   std::vector<Event> ring_;
   std::uint64_t total_ = 0;  // monotone; ring slot = total_ % capacity
 };

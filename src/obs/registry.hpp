@@ -2,7 +2,7 @@
 // histograms, scrapeable live while every loop keeps running.
 //
 // Shape of the problem: a replica's stats live in many places — EventLoop
-// drain counters, PeerCounters inside TcpEnv, gateway and mempool
+// drain counters, per-peer counters inside TcpEnv, gateway and mempool
 // admit/drop tallies, LedgerStore fsync counts. The registry gives them one
 // export surface with two rules:
 //
@@ -14,8 +14,7 @@
 //     registered sample hooks (closures that mirror externally-owned stats
 //     structs into instruments), then walk the families. Hooks run on the
 //     snapshotting thread; in dlnoded that is the node home loop, so hooks
-//     may read home-loop-affine state (NodeStats) in addition to
-//     thread-safe sources.
+//     may read home-loop-affine state: every replica stats struct is.
 //
 // Instruments are registered once at startup and never unregistered;
 // pointers returned by counter()/gauge()/histogram() stay valid for the
@@ -153,8 +152,8 @@ class Registry {
                        const std::string& labels = "");
 
   // Runs at the start of every snapshot, on the snapshotting thread.
-  // Typical hook: copy a subsystem's thread-safe stats struct into
-  // registry instruments.
+  // Typical hook: copy a subsystem's stats struct into registry
+  // instruments.
   void add_sample_hook(std::function<void()> fn);
 
   // Prometheus text exposition (version 0.0.4). Empty histogram buckets are

@@ -20,7 +20,8 @@
 //
 // Every Env has a *home loop*: the single thread that runs the Receiver's
 // callbacks (SimEnv: the simulation thread; TcpEnv: the EventLoop thread).
-// Per method:
+// Everything but the immutable identity and the clock is home-loop-affine;
+// no Env method is a cross-thread entry point. Per method:
 //
 //   method        | affinity     | notes
 //   --------------|--------------|------------------------------------------
@@ -31,8 +32,7 @@
 //   cancel_timer  | home loop    |
 //   send/broadcast| home loop    |
 //   cancel_send   | home loop    |
-//   defer         | any thread   | fn runs later on the home loop, never
-//                 |              | inline in the caller
+//   defer         | home loop    | fn runs on a later pass, never inline
 //
 // CPU-heavy work (erasure coding, Merkle hashing, store drains) runs inline
 // on the home loop: a replica is one thread.
@@ -121,7 +121,8 @@ class Env {
   // Home loop only.
   virtual void cancel_send(std::uint64_t tag) = 0;
 
-  // The thread-safe way back to the home loop: `fn` runs there later.
+  // Runs `fn` later on the home loop, never inline in the caller. Home
+  // loop only.
   virtual void defer(std::function<void()> fn) = 0;
 };
 

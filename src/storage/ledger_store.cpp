@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdlib>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -65,6 +66,16 @@ bool write_all_at(int fd, ByteView data, std::uint64_t offset) {
     done += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+// A store that cannot write or fsync ends the process: going on would leave
+// the index and the frontier pointing at bytes that are not on disk. A crash
+// is a fault the protocol tolerates; a silently lost record is not.
+[[noreturn]] void fail_stop(const char* what, const std::string& path) {
+  const int err = errno;
+  std::fprintf(stderr, "LedgerStore: %s %s: %s\n", what, path.c_str(),
+               std::strerror(err));
+  std::abort();
 }
 
 bool read_all_at(int fd, std::uint8_t* out, std::size_t len,
@@ -156,7 +167,6 @@ LedgerStore::LedgerStore(std::string dir, StoreOptions opt)
 
 LedgerStore::~LedgerStore() {
   sync();
-  std::lock_guard<std::mutex> io(io_mu_);
   for (auto& [seq, fd] : fds_) {
     ::close(fd);
   }
@@ -312,7 +322,7 @@ bool LedgerStore::scan_one_segment(std::uint64_t seq, int fd,
         break;
       case kRecEpochDone:
         if (rec.epoch == frontier_) {
-          commit_epoch_locked(rec.epoch);
+          commit_epoch(rec.epoch);
         } else if (rec.epoch > frontier_) {
           // A done-marker for a future epoch means the records in between
           // were lost: the committed prefix ends here.
@@ -338,7 +348,7 @@ bool LedgerStore::scan_one_segment(std::uint64_t seq, int fd,
   return true;
 }
 
-void LedgerStore::commit_epoch_locked(std::uint64_t epoch) {
+void LedgerStore::commit_epoch(std::uint64_t epoch) {
   // First copy per block key wins: delivery order of the original run. A
   // duplicate can only be a byte-identical re-append (agreement fixes the
   // content of a key), so dropping later copies is safe.
@@ -362,32 +372,7 @@ void LedgerStore::commit_epoch_locked(std::uint64_t epoch) {
   epoch_starts_.push_back(records_.size());
 }
 
-std::uint64_t LedgerStore::delivered_frontier() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return frontier_;
-}
-
-std::uint64_t LedgerStore::activity_frontier() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return activity_frontier_;
-}
-
-std::uint64_t LedgerStore::committed_blocks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
-}
-
-std::size_t LedgerStore::segment_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<std::size_t>(tail_seq_) + 1;
-}
-
-LedgerStore::Stats LedgerStore::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-std::pair<std::uint64_t, std::uint64_t> LedgerStore::stage_locked(
+std::pair<std::uint64_t, std::uint64_t> LedgerStore::stage(
     ByteView head, ByteView body) {
   const std::size_t len = head.size() + body.size();
   const std::size_t size = kRecordHeader + len;
@@ -432,8 +417,7 @@ void LedgerStore::append_block(const BlockRecordView& rec) {
   head.u8(rec.bad_uploader ? 0x1 : 0x0);
   head.u32(static_cast<std::uint32_t>(rec.content.size()));
 
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [segment, payload_off] = stage_locked(head.data(), rec.content);
+  auto [segment, payload_off] = stage(head.data(), rec.content);
   pending_.push_back(IndexedBlock{
       rec.at_epoch, rec.block_epoch, rec.proposer, rec.bad_uploader, segment,
       payload_off,
@@ -441,19 +425,17 @@ void LedgerStore::append_block(const BlockRecordView& rec) {
 }
 
 void LedgerStore::append_epoch_done(std::uint64_t epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (epoch != frontier_) {
     return;  // duplicate (or out-of-order caller bug); delivery is sequential
   }
   Writer w;
   w.u8(kRecEpochDone);
   w.u64(epoch);
-  stage_locked(w.data());
-  commit_epoch_locked(epoch);
+  stage(w.data());
+  commit_epoch(epoch);
 }
 
 void LedgerStore::append_activity_frontier(std::uint64_t epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (epoch <= activity_frontier_) {
     return;
   }
@@ -461,10 +443,10 @@ void LedgerStore::append_activity_frontier(std::uint64_t epoch) {
   Writer w;
   w.u8(kRecActivityFrontier);
   w.u64(epoch);
-  stage_locked(w.data());
+  stage(w.data());
 }
 
-int LedgerStore::segment_fd_io(std::uint64_t seq) {
+int LedgerStore::segment_fd(std::uint64_t seq) {
   auto it = fds_.find(seq);
   if (it != fds_.end()) {
     return it->second;
@@ -472,16 +454,14 @@ int LedgerStore::segment_fd_io(std::uint64_t seq) {
   const std::string path = segment_path(seq);
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd < 0) {
-    return -1;
+    fail_stop("open", path);
   }
   fds_[seq] = fd;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.segments_created;
-  }
+  ++stats_.segments_created;
   // Make the new directory entry itself durable before records land in it.
-  if (opt_.fsync != FsyncPolicy::kNever && dir_fd_ >= 0) {
-    ::fsync(dir_fd_);
+  if (opt_.fsync != FsyncPolicy::kNever && dir_fd_ >= 0 &&
+      ::fsync(dir_fd_) != 0) {
+    fail_stop("fsync", dir_);
   }
   return fd;
 }
@@ -498,74 +478,59 @@ void LedgerStore::drain_io(bool force_fsync) {
 }
 
 void LedgerStore::drain_io_inner(bool force_fsync) {
-  std::vector<StagedRange> work;
-  std::vector<std::uint64_t> dirty;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    work.swap(staged_);
-    dirty.swap(dirty_segs_);
-    ++stats_.drains;
-  }
-  for (const auto& range : work) {
-    int fd = segment_fd_io(range.segment);
-    if (fd < 0) {
-      continue;  // environmental failure; nothing better to do off-loop
+  ++stats_.drains;
+  for (const auto& range : staged_) {
+    if (!write_all_at(segment_fd(range.segment), range.data, range.offset)) {
+      fail_stop("write", segment_path(range.segment));
     }
-    write_all_at(fd, range.data, range.offset);
-    if (dirty.empty() || dirty.back() != range.segment) {
-      dirty.push_back(range.segment);
+    if (dirty_segs_.empty() || dirty_segs_.back() != range.segment) {
+      dirty_segs_.push_back(range.segment);
     }
   }
-  if (dirty.empty()) {
+  staged_.clear();
+  if (dirty_segs_.empty()) {
     return;
   }
 
   bool do_fsync = force_fsync;
   switch (opt_.fsync) {
     case FsyncPolicy::kNever:
-      dirty.clear();  // never owed
-      break;
+      dirty_segs_.clear();  // never owed
+      return;
     case FsyncPolicy::kAlways:
       do_fsync = true;
       break;
-    case FsyncPolicy::kBatch: {
-      const double now = now_seconds();
-      if (now - last_fsync_ >= opt_.batch_interval) {
+    case FsyncPolicy::kBatch:
+      if (now_seconds() - last_fsync_ >= opt_.batch_interval) {
         do_fsync = true;
       }
       break;
-    }
   }
-  if (do_fsync && !dirty.empty()) {
-    std::sort(dirty.begin(), dirty.end());
-    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-    for (std::uint64_t seq : dirty) {
-      auto it = fds_.find(seq);
-      if (it != fds_.end()) {
-        ::fsync(it->second);
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.fsyncs;
-      }
-    }
-    last_fsync_ = now_seconds();
-    dirty.clear();
+  if (!do_fsync) {
+    return;  // batch policy skipped this round's fsync; dirty_segs_ is owed
   }
-  if (!dirty.empty()) {
-    // Batch policy skipped this round's fsync; remember what is owed.
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::uint64_t seq : dirty) {
-      dirty_segs_.push_back(seq);
+  std::sort(dirty_segs_.begin(), dirty_segs_.end());
+  dirty_segs_.erase(std::unique(dirty_segs_.begin(), dirty_segs_.end()),
+                    dirty_segs_.end());
+  for (std::uint64_t seq : dirty_segs_) {
+    auto it = fds_.find(seq);
+    if (it == fds_.end()) {
+      continue;
     }
+    if (::fsync(it->second) != 0) {
+      fail_stop("fsync", segment_path(seq));
+    }
+    ++stats_.fsyncs;
   }
+  last_fsync_ = now_seconds();
+  dirty_segs_.clear();
 }
 
 void LedgerStore::drain() {
-  std::lock_guard<std::mutex> io(io_mu_);
   drain_io(false);
 }
 
 void LedgerStore::sync() {
-  std::lock_guard<std::mutex> io(io_mu_);
   drain_io(opt_.fsync != FsyncPolicy::kNever);
 }
 
@@ -588,14 +553,11 @@ bool LedgerStore::read_block_io(const IndexedBlock& ib, BlockRecord& out) {
 
 void LedgerStore::for_each_committed(
     const std::function<bool(const BlockRecord&)>& fn) {
-  std::lock_guard<std::mutex> io(io_mu_);
   drain_io(false);
-  std::vector<IndexedBlock> index;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    index = records_;
-  }
-  for (const auto& ib : index) {
+  // By index and by copy: `fn` may append, which can grow records_.
+  const std::size_t n = records_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const IndexedBlock ib = records_[i];
     BlockRecord rec;
     if (!read_block_io(ib, rec)) {
       continue;
@@ -609,22 +571,15 @@ void LedgerStore::for_each_committed(
 bool LedgerStore::blocks_at(std::uint64_t epoch,
                             std::vector<BlockRecord>& out) {
   out.clear();
-  std::lock_guard<std::mutex> io(io_mu_);
   drain_io(false);
-  std::vector<IndexedBlock> index;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (epoch >= frontier_) {
-      return false;
-    }
-    const std::size_t begin = epoch_starts_[static_cast<std::size_t>(epoch)];
-    const std::size_t end = epoch_starts_[static_cast<std::size_t>(epoch) + 1];
-    index.assign(records_.begin() + static_cast<std::ptrdiff_t>(begin),
-                 records_.begin() + static_cast<std::ptrdiff_t>(end));
+  if (epoch >= frontier_) {
+    return false;
   }
-  for (const auto& ib : index) {
+  const std::size_t begin = epoch_starts_[static_cast<std::size_t>(epoch)];
+  const std::size_t end = epoch_starts_[static_cast<std::size_t>(epoch) + 1];
+  for (std::size_t i = begin; i < end; ++i) {
     BlockRecord rec;
-    if (read_block_io(ib, rec)) {
+    if (read_block_io(records_[i], rec)) {
       out.push_back(std::move(rec));
     }
   }

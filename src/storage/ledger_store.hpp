@@ -24,13 +24,15 @@
 //                    crash fault into equivocation (best-effort under
 //                    fsync=never/batch: the record may trail by one drain).
 //
-// Concurrency and the write path: append_*() is cheap — it encodes the
-// record into a staging buffer and updates the in-memory index under a
-// mutex — and is home-loop-called by DlNode; drain() does the actual
-// write(2)+fsync(2) work, and DlNode runs it inline on its home loop (a
-// replica is one thread). Readers (recovery
-// replay, catch-up serving) force a drain first and then pread(2) from the
-// segment files, so there is exactly one source of truth for record bytes.
+// The write path: append_*() is cheap — it encodes the record into a
+// staging buffer and updates the in-memory index — and drain() does the
+// write(2)+fsync(2) work. A store is affine to its replica's home loop (a
+// replica is one thread): DlNode appends and drains inline, with no lock.
+// Readers (recovery replay, catch-up serving) force a drain first and then
+// pread(2) from the segment files, so there is exactly one source of truth
+// for record bytes. A failed open, write or fsync of a segment prints the
+// segment path and the error and ends the process (fail-stop): the index
+// never points at bytes that did not reach the file.
 //
 // Fsync policy (--fsync flag of dlnoded):
 //   never  — write(2) only. Survives SIGKILL (page cache), not power loss.
@@ -51,7 +53,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -133,19 +134,21 @@ class LedgerStore {
   FsyncPolicy fsync_policy() const { return opt_.fsync; }
 
   // First epoch NOT fully persisted (== recovered frontier + epochs
-  // committed since). Any thread.
-  std::uint64_t delivered_frontier() const;
-  std::uint64_t activity_frontier() const;
-  std::uint64_t committed_blocks() const;
-  std::size_t segment_count() const;
-  Stats stats() const;
+  // committed since).
+  std::uint64_t delivered_frontier() const { return frontier_; }
+  std::uint64_t activity_frontier() const { return activity_frontier_; }
+  std::uint64_t committed_blocks() const { return records_.size(); }
+  std::size_t segment_count() const {
+    return static_cast<std::size_t>(tail_seq_) + 1;
+  }
+  Stats stats() const { return stats_; }
 
   // Optional drain-latency histogram (microseconds per drain_io pass,
   // write+fsync included). Set during startup wiring, before drains run;
   // null keeps the extra clock reads off.
   void set_drain_histogram(obs::Histogram* h) { drain_hist_ = h; }
 
-  // --- append path (any thread; encode + stage only, no I/O) ---------------
+  // --- append path (encode + stage only, no I/O) ---------------------------
   // The content is copied once, straight into the staged segment bytes.
   void append_block(const BlockRecordView& rec);
   void append_block(const BlockRecord& rec) {
@@ -158,8 +161,7 @@ class LedgerStore {
   void append_activity_frontier(std::uint64_t epoch);
 
   // --- I/O path -------------------------------------------------------------
-  // Writes everything staged and applies the fsync policy. Safe from any
-  // thread; concurrent drains serialize.
+  // Writes everything staged and applies the fsync policy.
   void drain();
   // drain() + unconditional fsync of every dirty segment (shutdown path).
   void sync();
@@ -198,17 +200,17 @@ class LedgerStore {
   // Returns false when truncation happened (callers drop later segments).
   bool scan_one_segment(std::uint64_t seq, int fd, std::uint64_t* valid_size);
   // Moves pending_ blocks delivered at `epoch` (first copy per key wins)
-  // into the committed index and advances frontier_. Requires mu_.
-  void commit_epoch_locked(std::uint64_t epoch);
+  // into the committed index and advances frontier_.
+  void commit_epoch(std::uint64_t epoch);
 
   // Encodes [len][crc][payload] into staged_, assigning the record its
   // segment + offset (rolling the tail segment when full); the payload is
-  // `head` then `body`. Requires mu_. Returns {segment, payload offset}.
-  std::pair<std::uint64_t, std::uint64_t> stage_locked(ByteView head,
-                                                       ByteView body = {});
-  int segment_fd_io(std::uint64_t seq);       // requires io_mu_
-  void drain_io(bool force_fsync);            // requires io_mu_
-  void drain_io_inner(bool force_fsync);      // drain_io minus the timing
+  // `head` then `body`. Returns {segment, payload offset}.
+  std::pair<std::uint64_t, std::uint64_t> stage(ByteView head,
+                                                ByteView body = {});
+  int segment_fd(std::uint64_t seq);      // opens (creates) on first use
+  void drain_io(bool force_fsync);
+  void drain_io_inner(bool force_fsync);  // drain_io minus the timing
   bool read_block_io(const IndexedBlock& ib, BlockRecord& out);
   std::string segment_path(std::uint64_t seq) const;
 
@@ -216,12 +218,8 @@ class LedgerStore {
   StoreOptions opt_;
   RecoveredState recovered_;
 
-  // Lock order: io_mu_ before mu_, never the reverse. Appenders take only
-  // mu_ (cheap); drains/readers take io_mu_ for file work and dip into mu_
-  // to swap out the staged queue or snapshot the index.
   obs::Histogram* drain_hist_ = nullptr;
 
-  mutable std::mutex mu_;
   // Committed index: blocks in delivery order + per-epoch prefix offsets
   // (epoch e occupies records_[epoch_starts_[e] .. epoch_starts_[e+1])).
   std::vector<IndexedBlock> records_;
@@ -238,7 +236,6 @@ class LedgerStore {
   std::vector<std::uint64_t> dirty_segs_;
   Stats stats_;
 
-  mutable std::mutex io_mu_;
   std::map<std::uint64_t, int> fds_;  // open segment fds (pread + pwrite)
   int dir_fd_ = -1;                   // for directory fsync on segment create
   double last_fsync_ = -1.0;          // CLOCK_MONOTONIC seconds

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,6 +71,69 @@ TEST(EventLoop, NestedTimersAndPosts) {
   });
   loop.run();
   EXPECT_EQ(depth, 2);
+}
+
+TEST(EventLoop, StopBeforeRunIsNotLost) {
+  // A stop() issued before run() starts must make that run() return
+  // immediately, not be silently discarded.
+  EventLoop loop;
+  loop.stop();
+  EXPECT_TRUE(loop.stopped());
+  bool ran_task = false;
+  loop.post([&] { ran_task = true; });
+  loop.run();  // returns without dispatching anything
+  EXPECT_FALSE(ran_task);
+
+  // The pending request was consumed, so a subsequent run() proceeds
+  // normally and drains the task queue.
+  EXPECT_FALSE(loop.stopped());
+  loop.post([&loop] { loop.stop(); });
+  loop.run();
+  EXPECT_TRUE(ran_task);
+}
+
+TEST(EventLoop, SelfRepostingTaskDoesNotStarveTimersOrFds) {
+  // The task queue is never empty while this task re-posts itself on every
+  // pass; a drain runs only the tasks queued when it began, so the 10 ms
+  // timer and the readable pipe must still get their turn.
+  EventLoop loop;
+  int fds[2];
+  ASSERT_EQ(pipe2(fds, O_NONBLOCK | O_CLOEXEC), 0);
+  ASSERT_EQ(write(fds[1], "x", 1), 1);
+  bool timer_ran = false;
+  bool fd_ran = false;
+  loop.after(0.01, [&] { timer_ran = true; });
+  loop.add_fd(fds[0], EPOLLIN, [&](std::uint32_t) {
+    char c = 0;
+    EXPECT_EQ(read(fds[0], &c, 1), 1);
+    loop.del_fd(fds[0]);
+    fd_ran = true;
+  });
+  // The task is its own watchdog: a starved timer could not stop the loop.
+  const double deadline = loop.now() + 5.0;
+  int passes = 0;
+  bool timed_out = false;
+  std::function<void()> spin = [&] {
+    ++passes;
+    if (timer_ran && fd_ran) {
+      loop.stop();
+      return;
+    }
+    if (loop.now() > deadline) {
+      timed_out = true;
+      loop.stop();
+      return;
+    }
+    loop.post([&] { spin(); });
+  };
+  loop.post([&] { spin(); });
+  loop.run();
+  close(fds[0]);
+  close(fds[1]);
+  EXPECT_FALSE(timed_out);
+  EXPECT_TRUE(timer_ran);
+  EXPECT_TRUE(fd_ran);
+  EXPECT_GT(passes, 1);
 }
 
 // Minimal Receiver: records envelopes, optionally echoes them back.

@@ -2,10 +2,13 @@
 // rebuild on reopen, torn-tail and bit-flip truncation (open() must recover
 // a valid shorter prefix from ANY garbage, never crash or fail), multi-
 // segment rolling, the uncommitted-tail rule (blocks past the last
-// EpochDone marker do not count), and the fsync policy plumbing.
+// EpochDone marker do not count), the fsync policy plumbing, and fail-stop
+// on a failed segment write.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -341,6 +344,29 @@ TEST(LedgerStore, OpenFailsOnUncreatableDir) {
   auto s = LedgerStore::open("/proc/definitely/not/creatable", {}, &err);
   EXPECT_EQ(s, nullptr);
   EXPECT_FALSE(err.empty());
+}
+
+// A failed segment write ends the process instead of leaving the index and
+// the frontier pointing at bytes that never reached the file. The child
+// lowers its own RLIMIT_FSIZE below the record, so pwrite fails with EFBIG.
+TEST(LedgerStoreDeathTest, FailedWriteEndsTheProcess) {
+  TempDir dir;
+  auto store = open_ok(dir.path);
+  ASSERT_NE(store, nullptr);
+  EXPECT_DEATH(
+      {
+        std::signal(SIGXFSZ, SIG_IGN);
+        rlimit lim{};
+        getrlimit(RLIMIT_CORE, &lim);
+        lim.rlim_cur = 0;
+        setrlimit(RLIMIT_CORE, &lim);
+        getrlimit(RLIMIT_FSIZE, &lim);
+        lim.rlim_cur = 4096;
+        setrlimit(RLIMIT_FSIZE, &lim);
+        store->append_block(make_block(0, 0, 0, 64 * 1024, 1));
+        store->drain();
+      },
+      "LedgerStore: write .*/ledger-0000000000\\.seg: File too large");
 }
 
 }  // namespace
